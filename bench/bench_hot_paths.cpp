@@ -1,9 +1,8 @@
 // Perf-regression driver for the two hot paths this repo optimized:
 //
-//   A. schedule() under dense traffic (120 veh/min, 4-way cross): the
-//      linear reservation sweep vs the indexed IntervalTable path
-//      (SchedulerConfig::linear_reference_scan toggles the old scan, which
-//      is kept in-tree exactly so this comparison stays honest).
+//   A. schedule() under dense traffic (120 veh/min, 4-way cross) through
+//      the indexed IntervalTable path (tests/aim/scheduler_equivalence_test
+//      holds the table to a linear-sweep oracle).
 //   B. block-verification fan-out across many receivers: the pre-PR shape
 //      (every receiver deserializes its own wire copy, rebuilds the Merkle
 //      tree, and pays a full RSA modexp — emulated by disabling the
@@ -45,11 +44,9 @@ struct Options {
 
 bench::TimingStats time_schedule_dense(const traffic::Intersection& ix,
                                        const std::vector<traffic::Arrival>& arrivals,
-                                       bool linear, int warmup, int reps) {
+                                       int warmup, int reps) {
   return bench::timed_median(warmup, reps, [&] {
-    aim::SchedulerConfig cfg;
-    cfg.linear_reference_scan = linear;
-    aim::ReservationScheduler sched(ix, cfg);
+    aim::ReservationScheduler sched(ix);
     std::uint64_t vid = 1;
     for (const auto& a : arrivals) {
       auto plan = sched.schedule(VehicleId{vid++}, a.route_id, a.traits, a.time,
@@ -155,16 +152,9 @@ int run(const Options& opt) {
   const auto ix = traffic::Intersection::build(ix_cfg);
   traffic::ArrivalGenerator gen(ix, 120, Rng(2026));
   const auto arrivals = gen.generate(sched_window_ms);
-  std::printf("phase A: scheduling %zu dense arrivals (linear vs indexed)\n",
-              arrivals.size());
+  std::printf("phase A: scheduling %zu dense arrivals\n", arrivals.size());
 
-  const auto sched_linear =
-      time_schedule_dense(ix, arrivals, /*linear=*/true, warmup, reps);
-  const auto sched_indexed =
-      time_schedule_dense(ix, arrivals, /*linear=*/false, warmup, reps);
-  const double sched_speedup =
-      sched_indexed.median_ms > 0 ? sched_linear.median_ms / sched_indexed.median_ms
-                                  : 0;
+  const auto sched_indexed = time_schedule_dense(ix, arrivals, warmup, reps);
 
   std::printf("phase B: %d-receiver fan-out, RSA-%d (uncached vs cached)\n",
               receivers, rsa_bits);
@@ -196,9 +186,7 @@ int run(const Options& opt) {
           : 0;
 
   std::vector<std::string> phases = {
-      bench::json_phase("schedule_dense_linear", sched_linear),
       bench::json_phase("schedule_dense_indexed", sched_indexed),
-      bench::json_speedup("schedule_dense", sched_speedup),
       bench::json_phase("fanout_verify_uncached", fan_uncached),
       bench::json_phase("fanout_verify_cached_pool1", fan_cached_1),
       bench::json_speedup("fanout_verify", fan_speedup),
@@ -250,8 +238,8 @@ int run(const Options& opt) {
     std::printf("smoke OK: envelope round-trips, parses, and reports the "
                 "telemetry overhead\n");
   } else {
-    std::printf("schedule_dense speedup: %.2fx (linear %.2f ms -> indexed %.2f ms)\n",
-                sched_speedup, sched_linear.median_ms, sched_indexed.median_ms);
+    std::printf("schedule_dense:         %.2f ms (indexed)\n",
+                sched_indexed.median_ms);
     std::printf("fanout_verify speedup:  %.2fx (uncached %.2f ms -> cached %.2f ms)\n",
                 fan_speedup, fan_uncached.median_ms, fan_cached_1.median_ms);
     std::printf("telemetry overhead:     %.2f%% (untraced %.2f ms -> traced %.2f ms)\n",

@@ -135,10 +135,8 @@ bool emit_bench_json() {
   traffic::ArrivalGenerator gen(ix, 120, Rng(4));
   const auto arrivals = gen.generate(10 * 60 * 1000);
 
-  const auto burst = [&](bool linear) {
-    aim::SchedulerConfig cfg;
-    cfg.linear_reference_scan = linear;
-    aim::ReservationScheduler sched(ix, cfg);
+  const auto burst = [&] {
+    aim::ReservationScheduler sched(ix);
     std::uint64_t vid = 1;
     for (int i = 0; i < 1000; ++i) {
       const auto& a = arrivals[static_cast<std::size_t>(i) % arrivals.size()];
@@ -147,23 +145,14 @@ bool emit_bench_json() {
                                               static_cast<Tick>(i) * 100, 20.0));
     }
   };
-  const auto burst_indexed =
-      nwade::bench::timed_median(1, 5, [&] { burst(false); });
-  const auto burst_linear =
-      nwade::bench::timed_median(1, 5, [&] { burst(true); });
+  const auto burst_indexed = nwade::bench::timed_median(1, 5, burst);
 
   const double wall_s = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t_start)
                             .count();
   const std::string envelope = nwade::bench::bench_envelope(
       "scheduler_micro", wall_s,
-      {nwade::bench::json_phase("schedule_burst_1000_indexed", burst_indexed),
-       nwade::bench::json_phase("schedule_burst_1000_linear", burst_linear),
-       nwade::bench::json_speedup(
-           "schedule_burst_1000",
-           burst_indexed.median_ms > 0
-               ? burst_linear.median_ms / burst_indexed.median_ms
-               : 0)});
+      {nwade::bench::json_phase("schedule_burst_1000_indexed", burst_indexed)});
   return nwade::bench::write_bench_file(kOutPath, envelope);
 }
 

@@ -1,22 +1,19 @@
-// Perf-regression driver for spatial-index world stepping.
+// Perf-regression driver for world stepping geometry.
 //
 // One arrival-saturated mixed-traffic scenario (4-way cross, 1500 veh/min
 // demand, 40% legacy — the junction queues, so ~1700 vehicles accumulate)
-// is run to completion twice: once with ScenarioConfig::quadratic_reference
-// (the original all-pairs sweeps for the ground-truth min-gap audit, the
-// managed and legacy car-following lookups, sensor queries, and the network
-// broadcast range scan) and once with the uniform-grid spatial index that
-// replaced them. Before timing, both modes must produce an identical run
-// summary — the index is only allowed to skip work whose result could not
-// matter, never to change a result.
+// is run to completion at step_threads 1, 2 and 4. The steps are the
+// spatial-index sweeps (ground-truth min-gap audit, managed and legacy
+// car-following lookups, sensor queries, broadcast range scan) over the SoA
+// vehicle columns, with the chunked phase kernels. Before timing, every
+// thread count must produce an identical run summary — threads may only
+// change wall time, never a result.
 //
-// The NWADE security layer is disabled here on purpose: per-packet protocol
-// and crypto costs scale with traffic too and would swamp the geometry
-// (they have their own driver, bench_hot_paths). What remains is exactly
-// the per-step work the quadratic_reference flag toggles.
-//
-// The speedup here is algorithmic (fewer exact distance checks per step),
-// so unlike bench_campaign's thread scaling it shows up on any machine.
+// This bench prices geometry only: the NWADE security layer is disabled on
+// purpose, so it says nothing about the protocol-on workload, where the
+// neighbourhood watch and block verification dominate. That workload —
+// RSA-2048 at paper densities with a per-layer breakdown — is measured by
+// perfbench/ (BENCHMARK.json); per-packet crypto has bench_hot_paths.
 //
 // Emits BENCH_world_step.json in the nwade-bench-v1 envelope (support.h).
 // `--smoke` shrinks the scenario and validates the JSON round-trip; the
@@ -37,15 +34,7 @@ struct Options {
   bool allow_single_core{false};
 };
 
-enum class Mode {
-  kQuadratic,      ///< all-pairs sweeps (the original reference)
-  kAosReference,   ///< spatial index + retained AoS stepping loops
-  kSoa,            ///< spatial index + SoA columns, chunked kernels, 1 thread
-  kSoaThreads2,    ///< SoA chunked kernels on a 2-thread pool
-  kSoaThreads4,    ///< SoA chunked kernels on a 4-thread pool
-};
-
-sim::ScenarioConfig scenario(bool smoke, Mode mode) {
+sim::ScenarioConfig scenario(bool smoke, int step_threads) {
   sim::ScenarioConfig cfg;
   cfg.intersection.kind = traffic::IntersectionKind::kCross4;
   cfg.vehicles_per_minute = smoke ? 80 : 1500;
@@ -53,10 +42,7 @@ sim::ScenarioConfig scenario(bool smoke, Mode mode) {
   cfg.legacy_fraction = 0.4;  // exercises both car-following lookups
   cfg.nwade_enabled = false;  // stepping only; crypto is bench_hot_paths' job
   cfg.seed = 9;
-  cfg.quadratic_reference = mode == Mode::kQuadratic;
-  cfg.aos_reference = mode == Mode::kAosReference;
-  if (mode == Mode::kSoaThreads2) cfg.step_threads = 2;
-  if (mode == Mode::kSoaThreads4) cfg.step_threads = 4;
+  cfg.step_threads = step_threads;
   return cfg;
 }
 
@@ -106,71 +92,52 @@ int run(const Options& opt) {
   const int warmup = opt.smoke ? 0 : 1;
   const int reps = opt.smoke ? 1 : 5;
 
-  // Equivalence gate first: every mode must produce an identical summary, or
-  // the timings below compare different simulations. The gate spans all
-  // three layers of replacement: all-pairs -> spatial index (quadratic vs
-  // aos_reference), AoS loops -> SoA chunked kernels (aos_reference vs soa),
-  // and serial -> pooled chunk execution (soa vs step_threads=4).
-  const struct {
-    Mode mode;
-    const char* name;
-  } modes[] = {
-      {Mode::kQuadratic, "quadratic"},
-      {Mode::kAosReference, "aos_reference"},
-      {Mode::kSoa, "soa"},
-      {Mode::kSoaThreads4, "soa_threads4"},
-  };
+  // Equivalence gate first: every thread count must produce an identical
+  // summary, or the timings below compare different simulations.
   std::string fp_reference;
-  for (const auto& m : modes) {
-    const std::string fp = fingerprint(sim::World(scenario(opt.smoke, m.mode)).run());
+  for (const int threads : {1, 2, 4}) {
+    const std::string fp =
+        fingerprint(sim::World(scenario(opt.smoke, threads)).run());
     if (fp_reference.empty()) {
       fp_reference = fp;
     } else if (fp != fp_reference) {
       std::fprintf(stderr,
-                   "FAIL: %s run diverged from quadratic reference\n  "
-                   "reference: %s\n  %s: %s\n",
-                   m.name, fp_reference.c_str(), m.name, fp.c_str());
+                   "FAIL: step_threads=%d run diverged from step_threads=1\n  "
+                   "step_threads=1: %s\n  step_threads=%d: %s\n",
+                   threads, fp_reference.c_str(), threads, fp.c_str());
       return 1;
     }
   }
-  std::printf("equivalence: quadratic, aos_reference, soa, and soa_threads4 "
-              "summaries identical\n  %s\n",
+  std::printf("equivalence: soa at step_threads 1, 2 and 4 summaries "
+              "identical\n  %s\n",
               fp_reference.c_str());
 
   // Phase boundary: start each mode from a pristine process-wide cache so
   // one phase's memoized verdicts can never skew the other's timings.
-  const auto timed_mode = [&](Mode mode) {
+  const auto timed_mode = [&](int threads) {
     crypto::SigVerifyCache::instance().reset();
     return bench::timed_median(warmup, reps, [&] {
-      sim::World world(scenario(opt.smoke, mode));
+      sim::World world(scenario(opt.smoke, threads));
       (void)world.run();
     });
   };
-  const auto quad = timed_mode(Mode::kQuadratic);
-  const auto aos = timed_mode(Mode::kAosReference);
-  const auto soa = timed_mode(Mode::kSoa);
-  const auto soa_t2 = timed_mode(Mode::kSoaThreads2);
-  const auto soa_t4 = timed_mode(Mode::kSoaThreads4);
+  const auto soa = timed_mode(1);
+  const auto soa_t2 = timed_mode(2);
+  const auto soa_t4 = timed_mode(4);
   const auto ratio = [](const bench::TimingStats& before,
                         const bench::TimingStats& after) {
     return after.median_ms > 0 ? before.median_ms / after.median_ms : 0;
   };
 
   const std::vector<std::string> phases = {
-      bench::json_phase("world_step_quadratic", quad),
-      bench::json_phase("world_step_aos_reference", aos),
       bench::json_phase("world_step_soa_threads1", soa),
       bench::json_phase("world_step_soa_threads2", soa_t2),
       bench::json_phase("world_step_soa_threads4", soa_t4),
       // Every speedup row names both sides: numerator config vs denominator.
-      bench::json_speedup("world_step_soa_threads1_vs_quadratic",
-                          ratio(quad, soa)),
-      bench::json_speedup("world_step_soa_threads1_vs_aos_reference",
-                          ratio(aos, soa)),
       bench::json_speedup("world_step_soa_threads4_vs_soa_threads1",
                           ratio(soa, soa_t4)),
   };
-  const sim::ScenarioConfig shape = scenario(opt.smoke, Mode::kSoa);
+  const sim::ScenarioConfig shape = scenario(opt.smoke, 1);
   const std::vector<std::string> extra = {
       bench::json_field("vehicles_per_minute", shape.vehicles_per_minute, 0),
       bench::json_field("duration_ms",
@@ -208,12 +175,10 @@ int run(const Options& opt) {
     std::printf("smoke OK: equivalence holds and envelope round-trips\n");
   } else {
     std::printf(
-        "world_step: quadratic %.2f ms, aos %.2f ms, soa %.2f ms "
-        "(%.2fx vs quadratic, %.2fx vs aos), soa@2t %.2f ms, soa@4t %.2f ms "
+        "world_step: soa@1t %.2f ms, soa@2t %.2f ms, soa@4t %.2f ms "
         "(%.2fx vs soa@1t, hardware_concurrency=%u)\n",
-        quad.median_ms, aos.median_ms, soa.median_ms, ratio(quad, soa),
-        ratio(aos, soa), soa_t2.median_ms, soa_t4.median_ms,
-        ratio(soa, soa_t4), std::thread::hardware_concurrency());
+        soa.median_ms, soa_t2.median_ms, soa_t4.median_ms, ratio(soa, soa_t4),
+        std::thread::hardware_concurrency());
   }
   return 0;
 }

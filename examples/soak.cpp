@@ -119,6 +119,7 @@ int main(int argc, char** argv) {
   std::string metrics_path;
   std::string trace_path;
   std::string trace_jsonl_path;
+  std::string attack = "benign";
   Duration snapshot_every_ms = 10'000;
   int max_snapshots = 0;
 
@@ -152,7 +153,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--seed") {
       scenario.seed = std::strtoull(value(i), nullptr, 10);
     } else if (arg == "--attack") {
-      scenario.attack = protocol::attack_setting_by_name(value(i));
+      attack = value(i);
     } else if (arg == "--chaos") {
       chaos = true;
     } else if (arg == "--max-snapshots") {
@@ -181,6 +182,15 @@ int main(int argc, char** argv) {
                  "--snapshot-every-ms and --duration-ms must be positive\n");
     return 2;
   }
+  // attack_setting_by_name silently falls back to benign; reject typos before
+  // any state file is read or written.
+  if (attack != "benign" &&
+      protocol::attack_setting_by_name(attack).name != attack) {
+    std::fprintf(stderr, "unknown Table I attack setting '%s'\n",
+                 attack.c_str());
+    return 2;
+  }
+  scenario.attack = protocol::attack_setting_by_name(attack);
   if (chaos) {
     scenario.network.fault = net::burst_loss_profile(0.05, 4.0);
     scenario.network.fault.jitter_ms = 20;

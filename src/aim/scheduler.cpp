@@ -103,9 +103,7 @@ void ReservationScheduler::consider(const IntervalTable& table, Tick in, Tick ou
                                     Tick& shift) const {
   // The smallest core-entry shift clearing every blocking reservation in
   // this table is driven by the latest blocking end alone: shift past it.
-  const auto max_end = config_.linear_reference_scan
-                           ? table.latest_blocking_end_linear(in, out)
-                           : table.latest_blocking_end(in, out);
+  const auto max_end = table.latest_blocking_end(in, out);
   if (max_end) shift = std::max(shift, *max_end - in + 1);
 }
 

@@ -31,10 +31,6 @@ struct SchedulerConfig {
   double min_cruise_mps{4.0};
   /// Give-up bound for the feasibility search (defensive; rarely hit).
   int max_push_iterations{400};
-  /// Test-only: answer blocking queries with the historical O(n) linear
-  /// sweep instead of the indexed prefix-max search, so the equivalence
-  /// suite can prove the indexed tables behavior-preserving.
-  bool linear_reference_scan{false};
 };
 
 /// Snapshot of a vehicle mid-crossing, used for evacuation replanning.
@@ -138,8 +134,8 @@ class ReservationScheduler final : public Scheduler {
   /// Earliest tick >= `from` at which the plan's claims could fit, given the
   /// blocking reservation discovered; kTickMax if none found.
   Tick next_candidate_after(const TravelPlan& plan, int route_id, Tick from) const;
-  /// Latest blocking end in `table` for [in, out), honouring the reference
-  /// flag; folds the induced core-entry push into `shift`.
+  /// Latest blocking end in `table` for [in, out); folds the induced
+  /// core-entry push into `shift`.
   void consider(const IntervalTable& table, Tick in, Tick out, Tick& shift) const;
 
   const traffic::Intersection& intersection_;

@@ -6,15 +6,16 @@
 // into square cells so a radius query touches only the cells the disc
 // overlaps.
 //
-// Equivalence contract (how the quadratic_reference flags stay honest): the
-// index never answers a geometric predicate itself. `query_candidates`
+// Equivalence contract (what keeps indexed sweeps equal to all-pairs scans):
+// the index never answers a geometric predicate itself. `query_candidates`
 // returns a *superset* of the exact in-radius set (every point whose cell
-// intersects the disc) and `for_each_near_pair` visits a superset of all
-// pairs closer than the cell size; callers re-apply the exact floating-point
-// predicate the brute-force path uses, so indexed and quadratic runs make
-// bit-identical decisions. Candidates come back in ascending insertion-index
-// order, which lets callers that iterate id-sorted containers preserve their
-// exact iteration order.
+// intersects the disc); callers re-apply their exact floating-point
+// predicate, so an indexed sweep makes bit-identical decisions to a
+// brute-force scan over every point (the unit tests and
+// tests/sim/world_equivalence_test.cpp hold both to all-pairs oracles).
+// Candidates come back in ascending insertion-index order, which lets
+// callers that iterate id-sorted containers preserve their exact iteration
+// order.
 //
 // Rebuild-per-snapshot design: points are immutable once inserted; callers
 // clear() and re-insert when positions move (an O(V) rebuild is the same
@@ -31,8 +32,7 @@ namespace nwade::geom {
 
 class SpatialHash {
  public:
-  /// `cell_size` must be positive; for `for_each_near_pair` it must also be
-  /// >= the caller's pairing radius (see below).
+  /// `cell_size` must be positive.
   explicit SpatialHash(double cell_size = 8.0);
 
   double cell_size() const { return cell_size_; }
@@ -59,34 +59,6 @@ class SpatialHash {
   void query_candidates(Vec2 center, double radius,
                         std::vector<std::size_t>& out) const;
 
-  /// Visits every unordered pair (i, j) with i < j whose cells are within
-  /// one cell of each other — a superset of all pairs strictly closer than
-  /// `cell_size`. Each pair is visited exactly once; visiting order is
-  /// unspecified, so callers must only accumulate order-independent results
-  /// (counts, minima).
-  template <typename Fn>
-  void for_each_near_pair(Fn&& fn) const {
-    // Canonical half-neighbourhood: every unordered pair of adjacent cells
-    // is enumerated from exactly one side.
-    static constexpr int kHalf[4][2] = {{1, 0}, {1, 1}, {0, 1}, {-1, 1}};
-    for (const auto& [key, members] : cells_) {
-      // Pairs inside one cell.
-      for (std::size_t a = 0; a < members.size(); ++a) {
-        for (std::size_t b = a + 1; b < members.size(); ++b) {
-          emit_pair(members[a], members[b], fn);
-        }
-      }
-      const auto [cx, cy] = unpack(key);
-      for (const auto& d : kHalf) {
-        const auto it = cells_.find(pack(cx + d[0], cy + d[1]));
-        if (it == cells_.end()) continue;
-        for (const std::size_t a : members) {
-          for (const std::size_t b : it->second) emit_pair(a, b, fn);
-        }
-      }
-    }
-  }
-
  private:
   static std::uint64_t pack(std::int64_t cx, std::int64_t cy) {
     // Bias into unsigned halves; world coordinates are metres around the
@@ -94,20 +66,7 @@ class SpatialHash {
     return (static_cast<std::uint64_t>(cx + 0x80000000LL) << 32) |
            static_cast<std::uint64_t>(cy + 0x80000000LL);
   }
-  static std::pair<std::int64_t, std::int64_t> unpack(std::uint64_t key) {
-    return {static_cast<std::int64_t>(key >> 32) - 0x80000000LL,
-            static_cast<std::int64_t>(key & 0xffffffffULL) - 0x80000000LL};
-  }
   std::int64_t cell_coord(double v) const;
-
-  template <typename Fn>
-  static void emit_pair(std::size_t a, std::size_t b, Fn&& fn) {
-    if (a < b) {
-      fn(a, b);
-    } else {
-      fn(b, a);
-    }
-  }
 
   double cell_size_;
   std::vector<Vec2> points_;

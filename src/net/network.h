@@ -77,12 +77,6 @@ struct NetworkConfig {
   std::uint64_t seed{1};
   /// Fault-injection profile; all features default to off.
   FaultProfile fault;
-  /// true = broadcast range-checks every node with the original brute-force
-  /// loop instead of pre-filtering through the uniform-grid index. Kept
-  /// purely as the equivalence/bench baseline (same pattern as
-  /// SchedulerConfig::linear_reference_scan); both paths deliver to the
-  /// identical receiver set in the identical order.
-  bool quadratic_reference{false};
   /// Metrics registry backing the traffic accounting (net.* counters and
   /// latency histograms). nullptr = the network owns a private registry, so
   /// standalone construction keeps working and stats() is always live.
@@ -208,7 +202,7 @@ class Network {
                         util::telemetry::Histogram latency_ms);
   /// Fills `out` with the ids of every registered node (sender excluded)
   /// whose *current* position is within the communication radius of
-  /// `origin`, ascending. Grid-accelerated unless quadratic_reference.
+  /// `origin`, ascending. Grid-accelerated unless every node is a candidate.
   void collect_receivers(NodeId from, geom::Vec2 origin,
                          std::vector<NodeId>& out);
   void rebuild_grid();

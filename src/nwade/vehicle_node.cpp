@@ -19,6 +19,15 @@ double elapsed_us(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// Checks the required context pointers, then claims the node's SoA row.
+/// Runs from the member-initializer list, before anything dereferences them.
+std::size_t claim_kin_row(const VehicleContext& ctx, VehicleId id,
+                          int route_id) {
+  assert(ctx.intersection && ctx.config && ctx.network && ctx.clock &&
+         ctx.sensors && ctx.metrics && ctx.malicious_ids && ctx.columns);
+  return ctx.columns->add_row(id.value, static_cast<std::uint32_t>(route_id));
+}
+
 }  // namespace
 
 const char* vehicle_state_name(VehicleState s) {
@@ -45,17 +54,11 @@ VehicleNode::VehicleNode(VehicleContext ctx, VehicleId id, int route_id,
       traits_(traits),
       spawn_time_(spawn_time),
       attack_(attack),
-      kin_row_(ctx_.columns != nullptr
-                   ? ctx_.columns->add_row(id.value,
-                                           static_cast<std::uint32_t>(route_id))
-                   : 0),
-      s_(ctx_.columns != nullptr ? ctx_.columns->s[kin_row_] : kin_fallback_[0]),
-      v_(ctx_.columns != nullptr ? ctx_.columns->v[kin_row_] : kin_fallback_[1]),
-      lateral_offset_(ctx_.columns != nullptr ? ctx_.columns->lateral[kin_row_]
-                                              : kin_fallback_[2]),
+      kin_row_(claim_kin_row(ctx_, id, route_id)),
+      s_(ctx_.columns->s[kin_row_]),
+      v_(ctx_.columns->v[kin_row_]),
+      lateral_offset_(ctx_.columns->lateral[kin_row_]),
       store_(ctx.config->chain_depth) {
-  assert(ctx_.intersection && ctx_.config && ctx_.network && ctx_.clock &&
-         ctx_.sensors && ctx_.metrics && ctx_.malicious_ids);
   // Sized so a fresh vehicle's first watch scans don't grow the buffer from
   // inside the chunked scan kernel, which is gated allocation-free.
   obs_scratch_.reserve(64);
@@ -130,10 +133,8 @@ void VehicleNode::set_state(VehicleState next) {
   state_ = next;
   // Mirror liveness into the SoA active flag so column-streaming kernels
   // (the sense-grid rebuild) can skip exited rows without touching the node.
-  if (ctx_.columns != nullptr) {
-    ctx_.columns->active[kin_row_] =
-        next == VehicleState::kExited ? std::uint8_t{0} : std::uint8_t{1};
-  }
+  ctx_.columns->active[kin_row_] =
+      next == VehicleState::kExited ? std::uint8_t{0} : std::uint8_t{1};
 }
 
 int VehicleNode::adaptive_threshold() const {
@@ -447,12 +448,6 @@ void VehicleNode::step_degraded(Tick now, double dt, const traffic::Route& route
 
 // --- neighbourhood watch (Algorithm 2) -------------------------------------------
 
-void VehicleNode::watch(Tick now) {
-  if (!watch_due(now)) return;
-  watch_scan(now);
-  watch_emit(now);
-}
-
 bool VehicleNode::watch_due(Tick now) const {
   (void)now;
   if (!ctx_.config->security_enabled) return false;
@@ -478,7 +473,7 @@ void VehicleNode::watch_scan(Tick now) {
 
 void VehicleNode::watch_emit(Tick now) {
   const std::vector<Observation>& observations = obs_scratch_;
-  // Old watch() sensed after run_attack; both sweeps used identical
+  // The pre-split watch sensed after run_attack; both sweeps used identical
   // arguments against the same frozen scene, so handing run_attack the scan
   // result is observation-for-observation the same.
   if (attack_.role == VehicleRole::kFalseReporter) run_attack(now, observations);

@@ -81,13 +81,12 @@ struct VehicleContext {
   /// Optional telemetry (nullptr = no trace); injected by the World.
   util::telemetry::Registry* registry{nullptr};
   util::trace::Tracer* tracer{nullptr};
-  /// Optional SoA home for the vehicle's kinematic hot state (progress,
-  /// speed, lateral offset). When set, the node claims one row at
-  /// construction and its s_/v_/lateral_offset_ references alias the column
-  /// slots, so the world's phase kernels can stream every vehicle's
-  /// kinematics contiguously. nullptr = the node stores them locally
-  /// (standalone tests, the world's AoS reference mode). Must outlive the
-  /// node and must be reserve()d for every row it will ever hold.
+  /// SoA home for the vehicle's kinematic hot state (progress, speed,
+  /// lateral offset); required. The node claims one row at construction and
+  /// its s_/v_/lateral_offset_ references alias the column slots, so the
+  /// world's phase kernels can stream every vehicle's kinematics
+  /// contiguously. Must outlive the node and must be reserve()d for every
+  /// row it will ever hold.
   traffic::VehicleColumns* columns{nullptr};
 };
 
@@ -127,12 +126,11 @@ class VehicleNode final : public net::Node {
   /// vehicles' step_kinematics (touches only this vehicle's rows).
   bool step_kinematics(Tick now, Duration dt_ms);
 
-  /// Neighbourhood-watch scan; the world calls it every watch interval.
-  /// Equivalent to watch_due() ? (watch_scan(), watch_emit()) : nothing.
-  void watch(Tick now);
-  // Split watch for the chunked phase: eligibility (pure), the sensor sweep
-  // (read-only against the frozen scene — parallel-safe), then the emit half
-  // (reports/sends/state transitions — serial, id order).
+  /// Neighbourhood watch, run every watch interval in three parts:
+  /// eligibility (pure), the sensor sweep (read-only against the frozen
+  /// scene — parallel-safe), then the emit half (reports/sends/state
+  /// transitions — serial, id order). One watch is
+  /// watch_due() ? (watch_scan(), watch_emit()) : nothing.
   bool watch_due(Tick now) const;
   void watch_scan(Tick now);
   void watch_emit(Tick now);
@@ -160,15 +158,15 @@ class VehicleNode final : public net::Node {
   const std::set<VehicleId>& self_evac_announced() const;
   Tick spawn_time() const { return spawn_time_; }
   const VehicleAttackProfile& attack_profile() const { return attack_; }
-  /// SoA row this node claimed at construction (0 when columnless). The
-  /// checkpoint layer records it so a restored world can rebuild nodes in
-  /// row order — which is spawn order, not necessarily id order once grid
-  /// handoffs inject foreign ids mid-run.
+  /// SoA row this node claimed at construction. The checkpoint layer
+  /// records it so a restored world can rebuild nodes in row order — which
+  /// is spawn order, not necessarily id order once grid handoffs inject
+  /// foreign ids mid-run.
   std::size_t kin_row() const { return kin_row_; }
 
   /// Grid boundary handoff: seeds the carried-over entry speed right after
-  /// construction, before the vehicle's first step. Plain assignment through
-  /// the kinematics reference, so both the SoA and the columnless home see it.
+  /// construction, before the vehicle's first step (a plain assignment
+  /// through the kinematics reference into the SoA row).
   void seed_speed(double v_mps) { v_ = v_mps; }
 
   // --- checkpoint/restore (sim/checkpoint) -----------------------------------
@@ -242,13 +240,10 @@ class VehicleNode final : public net::Node {
 
   VehicleState state_{VehicleState::kPreparation};
 
-  // Physical ground truth. When ctx_.columns is set the values live in the
-  // world's SoA columns (one claimed row) and the references alias the
-  // column slots; otherwise they alias the local fallback. Every method —
-  // including the checkpoint byte layout — reads and writes through the
-  // references, so both homes behave identically.
+  // Physical ground truth. The values live in the world's SoA columns (one
+  // claimed row) and the references alias the column slots; every method —
+  // including the checkpoint byte layout — reads and writes through them.
   std::size_t kin_row_{0};
-  double kin_fallback_[3]{0.0, 0.0, 0.0};  ///< s, v, lateral when columnless
   double& s_;
   double& v_;
   double& lateral_offset_;  ///< deviators drift off the lane centreline

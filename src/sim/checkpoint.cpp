@@ -57,14 +57,19 @@ void save_scenario_config(ByteWriter& w, const ScenarioConfig& c) {
   w.i64(c.scheduler.margin_ms);
   w.f64(c.scheduler.min_cruise_mps);
   w.i64(c.scheduler.max_push_iterations);
-  w.u8(c.scheduler.linear_reference_scan ? 1 : 0);
+  // Reserved byte, always 0 (one of three; the network and scenario blocks
+  // hold the others). Each once carried a flag selecting a brute-force
+  // reference stepping path, since removed; keeping the slots keeps every
+  // envelope byte-identical under the v1 schema. Loads skip them
+  // (docs/CHECKPOINT.md §1).
+  w.u8(0);
 
   const net::NetworkConfig& nc = c.network;
   w.i64(nc.latency_ms);
   w.f64(nc.comm_radius_m);
   w.f64(nc.loss_probability);
   w.u64(nc.seed);
-  w.u8(nc.quadratic_reference ? 1 : 0);
+  w.u8(0);  // reserved (see the scheduler block above)
   const net::FaultProfile& f = nc.fault;
   w.f64(f.ge_p_good_to_bad);
   w.f64(f.ge_p_bad_to_good);
@@ -99,11 +104,11 @@ void save_scenario_config(ByteWriter& w, const ScenarioConfig& c) {
   w.u8(static_cast<std::uint8_t>(c.im_attack_mode));
   w.u8(c.nwade_enabled ? 1 : 0);
   w.f64(c.legacy_fraction);
-  w.u8(c.quadratic_reference ? 1 : 0);
+  w.u8(0);  // reserved (see the scheduler block above)
   w.u8(c.trace_enabled ? 1 : 0);
   // Grid-sharding hooks (appended last; see the matching loads). Unlike
-  // step_threads/aos_reference these are behavior knobs: the id base names
-  // every vehicle and the extra capacity must be re-reserved on restore.
+  // step_threads these are behavior knobs: the id base names every vehicle
+  // and the extra capacity must be re-reserved on restore.
   w.u64(c.vehicle_id_base);
   w.u64(c.extra_vehicle_capacity);
 }
@@ -153,14 +158,14 @@ bool load_scenario_config(ByteReader& r, ScenarioConfig& c) {
   c.scheduler.margin_ms = r.i64();
   c.scheduler.min_cruise_mps = r.f64();
   c.scheduler.max_push_iterations = static_cast<int>(r.i64());
-  c.scheduler.linear_reference_scan = r.u8() != 0;
+  r.skip(1);  // reserved
 
   net::NetworkConfig& nc = c.network;
   nc.latency_ms = r.i64();
   nc.comm_radius_m = r.f64();
   nc.loss_probability = r.f64();
   nc.seed = r.u64();
-  nc.quadratic_reference = r.u8() != 0;
+  r.skip(1);  // reserved
   net::FaultProfile& f = nc.fault;
   f.ge_p_good_to_bad = r.f64();
   f.ge_p_bad_to_good = r.f64();
@@ -214,7 +219,7 @@ bool load_scenario_config(ByteReader& r, ScenarioConfig& c) {
   c.im_attack_mode = static_cast<protocol::ImAttackMode>(im_mode);
   c.nwade_enabled = r.u8() != 0;
   c.legacy_fraction = r.f64();
-  c.quadratic_reference = r.u8() != 0;
+  r.skip(1);  // reserved
   c.trace_enabled = r.u8() != 0;
   c.vehicle_id_base = r.u64();
   c.extra_vehicle_capacity = r.u64();
@@ -602,10 +607,8 @@ Bytes World::checkpoint_save() const {
       // *row* order (not id order) so every node claims the row it held
       // before the checkpoint: grid handoffs inject foreign ids whose rows
       // interleave chronologically with local spawns, breaking the old
-      // "ascending id == spawn order" invariant. 0xffffffff = AoS mode.
-      w.u32(config_.aos_reference
-                ? 0xffffffffu
-                : static_cast<std::uint32_t>(v->kin_row()));
+      // "ascending id == spawn order" invariant.
+      w.u32(static_cast<std::uint32_t>(v->kin_row()));
       // Node state travels as a length-prefixed blob so the restore side
       // can stage all records before constructing any node.
       ByteWriter node_w;
@@ -824,21 +827,6 @@ bool World::apply_checkpoint(const std::map<std::string, Bytes>& sections,
                                       : a.id.value < b.id.value;
               });
     for (const VehicleRecord& rec : records) {
-      protocol::VehicleContext ctx;
-      ctx.intersection = &intersection_;
-      ctx.config = &config_.nwade;
-      ctx.network = network_.get();
-      ctx.clock = &clock_;
-      ctx.sensors = this;
-      ctx.im_verifier = im_verifier_;
-      ctx.metrics = &metrics_;
-      ctx.malicious_ids = &malicious_ids_;
-      ctx.registry = &registry_;
-      ctx.tracer = &tracer_;
-      // step_threads/aos_reference are deliberately not part of the
-      // envelope; a restored world always uses the current config's
-      // defaults, which cannot change results (only wall clock).
-      ctx.columns = config_.aos_reference ? nullptr : &columns_;
       // Attackers injected by a grid handoff are not re-created by
       // assign_attack_roles on resume — re-register their roles so sensing
       // and metrics labelling keep treating them as malicious.
@@ -847,7 +835,8 @@ bool World::apply_checkpoint(const std::map<std::string, Bytes>& sections,
         attack_roles_[rec.id] = rec.profile;
       }
       auto node = std::make_unique<protocol::VehicleNode>(
-          ctx, rec.id, rec.route_id, rec.traits, rec.spawn_time, rec.profile);
+          vehicle_context(), rec.id, rec.route_id, rec.traits, rec.spawn_time,
+          rec.profile);
       ByteReader nr(rec.node_blob);
       if (!node->checkpoint_restore(nr) || !nr.at_end()) {
         return fail("malformed vehicles section");

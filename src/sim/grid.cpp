@@ -54,8 +54,6 @@ Grid::Grid(GridConfig config, bool construct_worlds)
     assert(config_.shard.intersection.kind ==
                traffic::IntersectionKind::kCross4 &&
            "multi-shard grids require the cross4 leg->neighbour mapping");
-    assert(!config_.shard.aos_reference &&
-           "grid handoffs require the SoA vehicle core");
   }
   build_edges();
   if (!construct_worlds) return;

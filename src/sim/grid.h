@@ -44,8 +44,7 @@ struct GridConfig {
   /// step_threads passes through util::nested_thread_budget so a grid at
   /// 8 shard threads never stacks inner step pools on top (8 x 4 runs 8
   /// workers, not 32). Multi-shard grids require the cross4 layout (the
-  /// leg->neighbour mapping below) and the SoA vehicle core
-  /// (!aos_reference; the checkpoint row contract depends on it).
+  /// leg->neighbour mapping below).
   ScenarioConfig shard;
   /// Grid-level seed; shard seeds and edge-channel streams derive from it.
   std::uint64_t seed{1};

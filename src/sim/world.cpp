@@ -45,7 +45,6 @@ World::World(ScenarioConfig config, Tick resume_t)
 
   net::NetworkConfig net_cfg = config_.network;
   net_cfg.seed = config_.seed ^ 0x6e657477ULL;
-  net_cfg.quadratic_reference = config_.quadratic_reference;
   net_cfg.registry = &registry_;
   net_cfg.tracer = &tracer_;
   network_ = std::make_unique<net::Network>(queue_, clock_, net_cfg);
@@ -71,8 +70,7 @@ World::World(ScenarioConfig config, Tick resume_t)
   // is thread-safe, so sharing changes nothing). The prefetch needs a
   // cache-key fingerprint (RSA signers only) and a worker pool to feed.
   im_verifier_ = signer_->verifier_with_cache(verify_cache_, &sig_batch_);
-  batch_verify_ = !config_.aos_reference && step_pool_.thread_count() > 0 &&
-                  im_verifier_ != nullptr &&
+  batch_verify_ = step_pool_.thread_count() > 0 && im_verifier_ != nullptr &&
                   im_verifier_->key_fingerprint() != nullptr;
 
   // Arrival schedule + attacker role assignment.
@@ -85,10 +83,8 @@ World::World(ScenarioConfig config, Tick resume_t)
   // vehicle a grid may hand off into this shard mid-run; reserving for all
   // of them up front keeps the node-held references stable for the whole
   // run (VehicleColumns::add_row asserts on this).
-  if (!config_.aos_reference) {
-    columns_.reserve(arrivals.size() +
-                     static_cast<std::size_t>(config_.extra_vehicle_capacity));
-  }
+  columns_.reserve(arrivals.size() +
+                   static_cast<std::size_t>(config_.extra_vehicle_capacity));
 
   // Intersection manager.
   protocol::ImAttackProfile im_attack;
@@ -196,7 +192,7 @@ void World::assign_attack_roles(std::vector<traffic::Arrival>& arrivals) {
   }
 }
 
-void World::spawn(const traffic::Arrival& arrival, VehicleId id) {
+protocol::VehicleContext World::vehicle_context() {
   protocol::VehicleContext ctx;
   ctx.intersection = &intersection_;
   ctx.config = &config_.nwade;
@@ -208,14 +204,18 @@ void World::spawn(const traffic::Arrival& arrival, VehicleId id) {
   ctx.malicious_ids = &malicious_ids_;
   ctx.registry = &registry_;
   ctx.tracer = &tracer_;
-  ctx.columns = config_.aos_reference ? nullptr : &columns_;
+  ctx.columns = &columns_;
+  return ctx;
+}
 
+void World::spawn(const traffic::Arrival& arrival, VehicleId id) {
   VehicleAttackProfile profile;
   if (const auto it = attack_roles_.find(id); it != attack_roles_.end()) {
     profile = it->second;
   }
   auto node = std::make_unique<protocol::VehicleNode>(
-      ctx, id, arrival.route_id, arrival.traits, clock_.now(), profile);
+      vehicle_context(), id, arrival.route_id, arrival.traits, clock_.now(),
+      profile);
   network_->add_node(node.get());
   node->start();
   spawn_times_[id] = clock_.now();
@@ -309,57 +309,46 @@ void World::step_legacy(Duration dt_ms) {
   if (legacy_.empty()) return;
   const double dt = static_cast<double>(dt_ms) / 1000.0;
   const auto& limits = intersection_.config().limits;
-  const bool quadratic = config_.quadratic_reference;
-  if (!quadratic) {
-    // Managed vehicles do not move during step_legacy, so one snapshot
-    // serves every legacy vehicle this step.
-    follow_grid_.clear();
-    follow_nodes_.clear();
-    follow_grid_.reserve(vehicles_.size());
-    for (const auto& [oid, v] : vehicles_) {
-      if (v->exited()) continue;
-      follow_grid_.insert(v->position());
-      follow_nodes_.push_back(v.get());
-    }
-    // Legacy positions advance during the loop below (each entry moves as
-    // it is stepped), so this snapshot can lag a neighbour by one step —
-    // at most ~1.3 m at legacy cruise speeds. The query radius absorbs
-    // that; the predicate always reads the live fields through the map.
-    legacy_follow_grid_.clear();
-    legacy_follow_refs_.clear();
-    legacy_follow_grid_.reserve(legacy_.size());
-    for (const auto& [oid, o] : legacy_) {
-      if (o.exited) continue;
-      legacy_follow_grid_.insert(legacy_position(o));
-      legacy_follow_refs_.emplace_back(oid, &o);
-    }
+  // Managed vehicles do not move during step_legacy, so one snapshot serves
+  // every legacy vehicle this step.
+  follow_grid_.clear();
+  follow_nodes_.clear();
+  follow_grid_.reserve(vehicles_.size());
+  for (const auto& [oid, v] : vehicles_) {
+    if (v->exited()) continue;
+    follow_grid_.insert(v->position());
+    follow_nodes_.push_back(v.get());
+  }
+  // Legacy positions advance during the loop below (each entry moves as it
+  // is stepped), so this snapshot can lag a neighbour by one step — at most
+  // ~1.3 m at legacy cruise speeds. The query radius absorbs that; the
+  // predicate always reads the live fields through the map.
+  legacy_follow_grid_.clear();
+  legacy_follow_refs_.clear();
+  legacy_follow_grid_.reserve(legacy_.size());
+  for (const auto& [oid, o] : legacy_) {
+    if (o.exited) continue;
+    legacy_follow_grid_.insert(legacy_position(o));
+    legacy_follow_refs_.emplace_back(oid, &o);
   }
   for (auto& [id, l] : legacy_) {
     if (l.exited) continue;
     // Simple car-following: brake for any vehicle ahead on the same route.
+    // Only gaps below the 45 m car-following horizon influence the speed
+    // target, and a same-route vehicle ds metres ahead along the path lies
+    // at most ds + |lateral offset| metres away in the plane (chord <= arc),
+    // so a 55 m disc around the legacy vehicle contains every managed
+    // vehicle that could matter. A vehicle the disc misses has gap >= 45
+    // and changes neither branch of the target computation, so the indexed
+    // lookup equals a scan over every vehicle.
     double gap = 1e9;
-    if (quadratic) {
-      for (const auto& [oid, v] : vehicles_) {
-        if (v->exited() || v->route_id() != l.route_id) continue;
-        const double ds = v->progress_s() - l.s;
-        if (ds > 0.1) gap = std::min(gap, ds);
-      }
-    } else {
-      // Only gaps below the 45 m car-following horizon influence the speed
-      // target, and a same-route vehicle ds metres ahead along the path lies
-      // at most ds + |lateral offset| metres away in the plane (chord <=
-      // arc), so a 55 m disc around the legacy vehicle contains every
-      // managed vehicle that could matter. A vehicle the disc misses has
-      // gap >= 45 and changes neither branch of the target computation. The
-      // predicate below is the reference scan's, applied verbatim.
-      follow_scratch_.clear();
-      follow_grid_.query_candidates(legacy_position(l), 55.0, follow_scratch_);
-      for (const std::size_t idx : follow_scratch_) {
-        const protocol::VehicleNode* v = follow_nodes_[idx];
-        if (v->exited() || v->route_id() != l.route_id) continue;
-        const double ds = v->progress_s() - l.s;
-        if (ds > 0.1) gap = std::min(gap, ds);
-      }
+    follow_scratch_.clear();
+    follow_grid_.query_candidates(legacy_position(l), 55.0, follow_scratch_);
+    for (const std::size_t idx : follow_scratch_) {
+      const protocol::VehicleNode* v = follow_nodes_[idx];
+      if (v->exited() || v->route_id() != l.route_id) continue;
+      const double ds = v->progress_s() - l.s;
+      if (ds > 0.1) gap = std::min(gap, ds);
     }
     // Legacy-vs-legacy. Earlier map entries have already moved this step, so
     // the values read here are live by construction — but the scan only
@@ -370,22 +359,14 @@ void World::step_legacy(Duration dt_ms) {
     // 45 m along the path, hence within 45 m in the plane at snapshot time
     // (chord <= arc, and snapshots only trail live positions), well inside
     // the 55 m disc.
-    if (quadratic) {
-      for (const auto& [oid, o] : legacy_) {
-        if (oid == id || o.exited || o.route_id != l.route_id) continue;
-        const double ds = o.s - l.s;
-        if (ds > 0.1) gap = std::min(gap, ds);
-      }
-    } else {
-      follow_scratch_.clear();
-      legacy_follow_grid_.query_candidates(legacy_position(l), 55.0,
-                                           follow_scratch_);
-      for (const std::size_t idx : follow_scratch_) {
-        const auto& [oid, o] = legacy_follow_refs_[idx];
-        if (oid == id || o->exited || o->route_id != l.route_id) continue;
-        const double ds = o->s - l.s;
-        if (ds > 0.1) gap = std::min(gap, ds);
-      }
+    follow_scratch_.clear();
+    legacy_follow_grid_.query_candidates(legacy_position(l), 55.0,
+                                         follow_scratch_);
+    for (const std::size_t idx : follow_scratch_) {
+      const auto& [oid, o] = legacy_follow_refs_[idx];
+      if (oid == id || o->exited || o->route_id != l.route_id) continue;
+      const double ds = o->s - l.s;
+      if (ds > 0.1) gap = std::min(gap, ds);
     }
     double target = l.cruise;
     if (gap < 45.0) target = std::min(target, 0.35 * std::max(0.0, gap - 10.0));
@@ -444,37 +425,15 @@ void World::step_world(Tick now) {
 
   // Phase 1: physics for everyone, so watchers later observe a consistent
   // time-t snapshot regardless of iteration order. The chunked kernel is
-  // byte-identical to this serial loop (see step_physics); aos_reference
-  // keeps the loop verbatim as the equivalence baseline.
+  // byte-identical to a serial step() loop in id order (see step_physics).
   phase_begin();
   if (count_allocs) last_step_allocs_ = {};  // kernels below accumulate
-  if (config_.aos_reference) {
-    for (auto& [id, vehicle] : vehicles_) {
-      if (vehicle->exited()) continue;
-      vehicle->step(now, dt);
-      if (vehicle->exited()) {
-        network_->remove_node(vehicle->node_id());
-        crossing_times_.push_back(now - spawn_times_[id]);
-        record_exit(*vehicle, now);
-      }
-    }
-  } else {
-    step_physics(now, dt);
-  }
+  step_physics(now, dt);
   phase_end("phase.physics", static_cast<std::int64_t>(vehicles_.size()));
 
   // Phase 2: the neighbourhood watch, staggered to avoid synchronized bursts.
   phase_begin();
-  if (config_.aos_reference) {
-    for (auto& [id, vehicle] : vehicles_) {
-      if (vehicle->exited()) continue;
-      if ((step_index + static_cast<Tick>(id.value)) % watch_every == 0) {
-        vehicle->watch(now);
-      }
-    }
-  } else {
-    step_watch(now, step_index, watch_every);
-  }
+  step_watch(now, step_index, watch_every);
   phase_end("phase.watch", static_cast<std::int64_t>(vehicles_.size()));
 
   // Ground-truth proximity audit once per simulated second (managed and
@@ -564,9 +523,7 @@ void World::step_watch(Tick now, Tick step_index, Tick watch_every) {
   // <= 1-step-stale snapshot (slack padding + live predicates), so forcing
   // the rebuild here instead of lazily inside the first sense changes
   // nothing.
-  if (!config_.quadratic_reference && sense_built_epoch_ != position_epoch_) {
-    rebuild_sense_grids();
-  }
+  if (sense_built_epoch_ != position_epoch_) rebuild_sense_grids();
   // Meter only the chunked scan kernel: the serial emits below are protocol
   // actions (reports, block requests) that allocate by design.
   const std::uint64_t allocs0 =
@@ -623,51 +580,32 @@ std::size_t World::step_gap_audit(Tick now) {
     return a.pos.distance_to(b.pos) < 1.5;
   };
   const std::size_t n = audit_probes_.size();
-  if (config_.quadratic_reference) {
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        if (violates(audit_probes_[i], audit_probes_[j])) ++gap_violations_;
-      }
-    }
-  } else if (config_.aos_reference) {
-    // The pre-chunking indexed path, kept verbatim as the baseline: a 2 m
-    // grid visits every pair closer than 2 m exactly once — a superset of
-    // the audited < 1.5 m pairs — and the count is order-independent, so
-    // the tally matches the all-pairs sweep.
-    geom::SpatialHash audit_grid(2.0);
-    audit_grid.reserve(n);
-    for (const AuditProbe& p : audit_probes_) audit_grid.insert(p.pos);
-    audit_grid.for_each_near_pair([&](std::size_t i, std::size_t j) {
-      if (violates(audit_probes_[i], audit_probes_[j])) ++gap_violations_;
-    });
-  } else {
-    // Chunked variant over the member grid (capacity-retaining clear): each
-    // chunk counts its probes' j > i partners within a 2 m disc — the same
-    // pair set the near-pair sweep visits — into a per-chunk partial, and
-    // the partials merge in chunk order. The total is an order-independent
-    // integer sum, so it is byte-identical to both reference paths at any
-    // thread count.
-    audit_grid_.clear();
-    audit_grid_.reserve(n);
-    for (const AuditProbe& p : audit_probes_) audit_grid_.insert(p.pos);
-    const std::size_t chunks = n == 0 ? 0 : (n + kAuditChunk - 1) / kAuditChunk;
-    audit_partials_.assign(chunks, 0);
-    step_pool_.parallel_for(
-        n, kAuditChunk, [&](std::size_t begin, std::size_t end) {
-          static thread_local std::vector<std::size_t> cand;
-          int violations = 0;
-          for (std::size_t i = begin; i < end; ++i) {
-            cand.clear();
-            audit_grid_.query_candidates(audit_probes_[i].pos, 2.0, cand);
-            for (const std::size_t j : cand) {
-              if (j <= i) continue;
-              if (violates(audit_probes_[i], audit_probes_[j])) ++violations;
-            }
+  // Chunked over the member grid (capacity-retaining clear): each chunk
+  // counts its probes' j > i partners within a 2 m disc — a superset of the
+  // audited < 1.5 m pairs, so every violating pair is counted exactly once —
+  // into a per-chunk partial, and the partials merge in chunk order. The
+  // total is an order-independent integer sum, so it equals the all-pairs
+  // count at any thread count.
+  audit_grid_.clear();
+  audit_grid_.reserve(n);
+  for (const AuditProbe& p : audit_probes_) audit_grid_.insert(p.pos);
+  const std::size_t chunks = n == 0 ? 0 : (n + kAuditChunk - 1) / kAuditChunk;
+  audit_partials_.assign(chunks, 0);
+  step_pool_.parallel_for(
+      n, kAuditChunk, [&](std::size_t begin, std::size_t end) {
+        static thread_local std::vector<std::size_t> cand;
+        int violations = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+          cand.clear();
+          audit_grid_.query_candidates(audit_probes_[i].pos, 2.0, cand);
+          for (const std::size_t j : cand) {
+            if (j <= i) continue;
+            if (violates(audit_probes_[i], audit_probes_[j])) ++violations;
           }
-          audit_partials_[begin / kAuditChunk] = violations;
-        });
-    for (const int partial : audit_partials_) gap_violations_ += partial;
-  }
+        }
+        audit_partials_[begin / kAuditChunk] = violations;
+      });
+  for (const int partial : audit_partials_) gap_violations_ += partial;
   return n;
 }
 
@@ -842,42 +780,32 @@ constexpr double kSenseSlackM = 20.0;
 }  // namespace
 
 void World::rebuild_sense_grids() const {
-  // Iterating the id-sorted maps makes insertion indices ascend with vehicle
-  // id, and query_candidates returns ascending indices — so the indexed scan
-  // below emits observations in the reference path's exact order. Skipping
-  // exited vehicles here is safe because exit is permanent: they could never
-  // pass the live filters again.
+  // Insertion indices follow SoA row order (ascending id in a standalone
+  // world; grid handoffs append foreign ids as they arrive), and
+  // query_candidates returns ascending indices — so sense_around_into emits
+  // observations in row order. Skipping exited vehicles here is safe because
+  // exit is permanent: they could never pass the live filters again.
   sense_managed_grid_.clear();
   sense_managed_ids_.clear();
   sense_managed_grid_.reserve(vehicles_.size());
-  if (!config_.aos_reference) {
-    // Stream the SoA columns: rows append in ascending id order and exited
-    // rows carry active == 0, so this walk sees exactly the map walk's
-    // vehicles in the same order — while touching three contiguous arrays
-    // instead of every node. The position arithmetic replicates
-    // VehicleNode::position() expression-for-expression (same branches,
-    // same operation order), so the inserted points are bit-identical.
-    assert(columns_.size() == vehicles_.size());
-    const std::size_t rows = columns_.size();
-    for (std::size_t r = 0; r < rows; ++r) {
-      if (columns_.active[r] == 0) continue;
-      const auto& route =
-          intersection_.route(static_cast<int>(columns_.route[r]));
-      const double s = columns_.s[r];
-      const geom::Vec2 on_path = route.path.point_at(s);
-      const double lateral = columns_.lateral[r];
-      const geom::Vec2 pos =
-          lateral == 0.0 ? on_path
-                         : on_path + route.path.tangent_at(s).perp() * lateral;
-      sense_managed_grid_.insert(pos);
-      sense_managed_ids_.push_back(VehicleId{columns_.id[r]});
-    }
-  } else {
-    for (const auto& [id, v] : vehicles_) {
-      if (v->exited()) continue;
-      sense_managed_grid_.insert(v->position());
-      sense_managed_ids_.push_back(id);
-    }
+  // Stream the SoA columns: exited rows carry active == 0, so this walk sees
+  // exactly the live vehicles — while touching three contiguous arrays
+  // instead of every node. The position arithmetic replicates
+  // VehicleNode::position() expression-for-expression (same branches, same
+  // operation order), so the inserted points are bit-identical.
+  assert(columns_.size() == vehicles_.size());
+  const std::size_t rows = columns_.size();
+  for (std::size_t r = 0; r < rows; ++r) {
+    if (columns_.active[r] == 0) continue;
+    const auto& route = intersection_.route(static_cast<int>(columns_.route[r]));
+    const double s = columns_.s[r];
+    const geom::Vec2 on_path = route.path.point_at(s);
+    const double lateral = columns_.lateral[r];
+    const geom::Vec2 pos =
+        lateral == 0.0 ? on_path
+                       : on_path + route.path.tangent_at(s).perp() * lateral;
+    sense_managed_grid_.insert(pos);
+    sense_managed_ids_.push_back(VehicleId{columns_.id[r]});
   }
   sense_legacy_grid_.clear();
   sense_legacy_ids_.clear();
@@ -902,33 +830,10 @@ void World::sense_around_into(geom::Vec2 center, double radius,
                               VehicleId exclude,
                               std::vector<protocol::Observation>& out) const {
   out.clear();
-  if (config_.quadratic_reference) {
-    for (const auto& [id, v] : vehicles_) {
-      if (id == exclude || v->exited()) continue;
-      // Vehicles still staged at the zone edge (no plan, not yet moving) are
-      // invisible; a plan-less vehicle that moves — degraded mode — must be
-      // seen so watchers and the IM's unmanaged tracking can cover it.
-      if (!v->has_plan() && v->progress_s() <= 0.5) continue;
-      const geom::Vec2 pos = v->position();
-      if (pos.distance_to(center) > radius) continue;
-      out.push_back(protocol::Observation{id, v->traits(), v->ground_truth()});
-    }
-    for (const auto& [id, l] : legacy_) {
-      if (id == exclude || l.exited) continue;
-      const geom::Vec2 pos = legacy_position(l);
-      if (pos.distance_to(center) > radius) continue;
-      traffic::VehicleStatus st;
-      st.position = pos;
-      st.speed_mps = l.v;
-      st.heading_rad = intersection_.route(l.route_id).path.heading_at(l.s);
-      out.push_back(protocol::Observation{id, l.traits, st});
-    }
-    return;
-  }
-
   if (sense_built_epoch_ != position_epoch_) rebuild_sense_grids();
-  // Candidate supersets from the snapshot; every filter below re-runs the
-  // reference path's exact predicate on live state, in the same id order.
+  // Candidate supersets from the snapshot; every filter below is exact on
+  // live state, so the result equals a scan over every vehicle: managed in
+  // row order, then legacy in ascending id order.
   // Thread-local scratch: the watch phase fans scans across the pool, and
   // each thread's buffer warms up once and is then reused allocation-free.
   // Reserved generously up front so a growing population doesn't trigger a
@@ -943,6 +848,9 @@ void World::sense_around_into(geom::Vec2 center, double radius,
     const VehicleId id = sense_managed_ids_[idx];
     const auto& v = vehicles_.find(id)->second;
     if (id == exclude || v->exited()) continue;
+    // Vehicles still staged at the zone edge (no plan, not yet moving) are
+    // invisible; a plan-less vehicle that moves — degraded mode — must be
+    // seen so watchers and the IM's unmanaged tracking can cover it.
     if (!v->has_plan() && v->progress_s() <= 0.5) continue;
     const geom::Vec2 pos = v->position();
     if (pos.distance_to(center) > radius) continue;

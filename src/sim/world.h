@@ -66,14 +66,6 @@ struct ScenarioConfig {
   /// and schedules managed traffic around virtual trajectory predictions.
   double legacy_fraction{0.0};
 
-  /// true = every O(V^2) all-pairs sweep (ground-truth gap audit, legacy
-  /// car-following lookup, sensor queries, and the network broadcast scan)
-  /// runs the original brute-force loop instead of the uniform-grid spatial
-  /// index. Kept purely as the equivalence/bench baseline (same pattern as
-  /// SchedulerConfig::linear_reference_scan); both modes make bit-identical
-  /// decisions, so full runs produce byte-identical traces.
-  bool quadratic_reference{false};
-
   /// true = the World's event tracer records the sim-time span/instant
   /// timeline (docs/OBSERVABILITY.md) retrievable via take_trace(). Tracing
   /// only observes — it never draws randomness or changes decisions — so
@@ -88,14 +80,6 @@ struct ScenarioConfig {
   /// checkpoint envelope: a resumed world may pick a different thread count
   /// and still continue bit-exactly.
   int step_threads{1};
-
-  /// true = per-vehicle hot state stays inside each node (array-of-structs)
-  /// and step_world runs the original serial per-vehicle loops with inline
-  /// signature verification. Kept purely as the equivalence/bench baseline
-  /// for the SoA + chunked execution path (same pattern as
-  /// quadratic_reference); both modes produce byte-identical runs. Also not
-  /// checkpointed.
-  bool aos_reference{false};
 
   // --- grid-sharding hooks (sim::Grid) ---------------------------------------
   /// Ids this world hands out start at vehicle_id_base + 1; a grid assigns
@@ -170,8 +154,7 @@ class World final : public protocol::SensorProvider {
 
   /// Heap allocations the chunked kernels of the most recent step performed
   /// (process-wide, so pool threads are covered) — measured only in
-  /// NWADE_COUNT_ALLOCS builds (always zero otherwise, and always zero in
-  /// aos_reference mode, which has no chunked kernels). `physics` meters the
+  /// NWADE_COUNT_ALLOCS builds (always zero otherwise). `physics` meters the
   /// pure-run kinematics fan-outs; `watch` meters the sensor-scan fan-out.
   /// The serial merges and emits around them (crossing-time appends,
   /// incident reports, block requests) allocate by design and are excluded.
@@ -282,6 +265,8 @@ class World final : public protocol::SensorProvider {
   /// Appends to exit_log_ (no-op unless enable_exit_log()); called at every
   /// managed exit commit point with the just-exited node.
   void record_exit(const protocol::VehicleNode& v, Tick now);
+  /// The wiring every managed vehicle gets, at spawn and on restore.
+  protocol::VehicleContext vehicle_context();
   void spawn(const traffic::Arrival& arrival, VehicleId id);
   void spawn_legacy(const traffic::Arrival& arrival, VehicleId id);
   void step_legacy(Duration dt_ms);
@@ -289,8 +274,8 @@ class World final : public protocol::SensorProvider {
   void step_world(Tick now);
   void rebuild_sense_grids() const;
 
-  // Chunked phase kernels (byte-identical to the serial aos_reference loops;
-  // see step_world for the equivalence argument).
+  // Chunked phase kernels (byte-identical to serial per-vehicle loops in id
+  // order at any step_threads; each kernel states its equivalence argument).
   void step_physics(Tick now, Duration dt);
   void step_watch(Tick now, Tick step_index, Tick watch_every);
   std::size_t step_gap_audit(Tick now);
@@ -318,7 +303,7 @@ class World final : public protocol::SensorProvider {
   /// SoA home for every managed vehicle's kinematic hot state; row r belongs
   /// to the r-th spawned vehicle (rows append in ascending id order, exited
   /// rows stay with active == 0). Reserved up front for every arrival so the
-  /// node-held references never dangle. Empty in aos_reference mode.
+  /// node-held references never dangle.
   traffic::VehicleColumns columns_;
   std::unique_ptr<protocol::ImNode> im_;
   std::map<VehicleId, std::unique_ptr<protocol::VehicleNode>> vehicles_;
@@ -353,7 +338,7 @@ class World final : public protocol::SensorProvider {
   /// context is thread-safe, so sharing changes nothing); wired to
   /// verify_cache_ and sig_batch_.
   std::shared_ptr<const crypto::Verifier> im_verifier_;
-  bool batch_verify_{false};  ///< prefetch on: RSA + worker pool + !aos_reference
+  bool batch_verify_{false};  ///< prefetch on: RSA + worker pool
 
   // Reused phase scratch (chunked kernels): cleared and refilled every step
   // so the warmed steady state never touches the heap.

@@ -32,14 +32,13 @@ void WorkerPool::for_each(std::size_t count,
     return;
   }
 
-  std::uint64_t job;
   {
     std::lock_guard<std::mutex> lock(mu_);
     task_ = &task;
     count_ = count;
     completed_ = 0;
     next_.store(0, std::memory_order_relaxed);
-    job = ++generation_;
+    ++generation_;
   }
   work_ready_.notify_all();
 
@@ -54,14 +53,8 @@ void WorkerPool::for_each(std::size_t count,
 
   std::unique_lock<std::mutex> lock(mu_);
   completed_ += done_here;
-  if (completed_ == count_) {
-    task_ = nullptr;
-  } else {
-    job_done_.wait(lock, [this, job] {
-      return completed_ == count_ || generation_ != job;
-    });
-    task_ = nullptr;
-  }
+  job_done_.wait(lock, [this] { return completed_ == count_; });
+  task_ = nullptr;
 }
 
 void WorkerPool::worker_loop() {
@@ -69,24 +62,30 @@ void WorkerPool::worker_loop() {
   for (;;) {
     const std::function<void(std::size_t)>* task = nullptr;
     std::size_t count = 0;
+    std::size_t i = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_ready_.wait(lock, [this, last_job] {
         return stopping_ || (task_ != nullptr && generation_ != last_job);
       });
       if (stopping_) return;
+      last_job = generation_;
+      // Claim the first index under the lock: it then belongs to the job
+      // just read, and holding it unreported keeps for_each from returning
+      // (and next_ from being reset for another job) until this claim loop
+      // ends, so the later fetch_adds land in this job too.
+      i = next_.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count_) continue;  // every index already claimed
       task = task_;
       count = count_;
-      last_job = generation_;
     }
 
     std::size_t done_here = 0;
-    for (;;) {
-      const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) break;
+    do {
       (*task)(i);
       ++done_here;
-    }
+      i = next_.fetch_add(1, std::memory_order_relaxed);
+    } while (i < count);
 
     std::lock_guard<std::mutex> lock(mu_);
     completed_ += done_here;

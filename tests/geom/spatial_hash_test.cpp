@@ -1,6 +1,6 @@
-// SpatialHash contract tests: every answer is checked against the
-// brute-force computation it replaces, including the superset guarantee,
-// ascending candidate order, and exactly-once pair visiting.
+// SpatialHash contract tests: every answer is checked against an all-pairs
+// brute-force oracle, including the superset guarantee, ascending candidate
+// order, and the exactly-once pair count of the gap audit's sweep.
 #include "geom/spatial_hash.h"
 
 #include <gtest/gtest.h>
@@ -80,30 +80,40 @@ TEST(SpatialHash, QueryEdgeCases) {
   EXPECT_EQ(out, (std::vector<std::size_t>{0, 1, 2}));
 }
 
-TEST(SpatialHash, NearPairsCoverBruteForcePairsExactlyOnce) {
+TEST(SpatialHash, QueryPairSweepCountsBruteForcePairsOnce) {
+  // The pair sweep of the ground-truth gap audit (World::step_gap_audit):
+  // query a disc of the pairing radius around every point i and keep the
+  // partners j > i that pass the exact distance predicate. Against the
+  // all-pairs scan, every close pair is found, and found exactly once.
+  constexpr double kRadius = 2.0;
   for (const double cell : {1.5, 2.0, 10.0}) {
     SpatialHash grid(cell);
     // Dense enough that many pairs share cells (duplicates would show).
     const auto pts = random_points(/*seed=*/9, /*n=*/250, /*extent=*/30.0);
     for (const Vec2& p : pts) grid.insert(p);
 
-    std::set<std::pair<std::size_t, std::size_t>> visited;
-    grid.for_each_near_pair([&](std::size_t a, std::size_t b) {
-      ASSERT_LT(a, b);
-      const bool inserted = visited.insert({a, b}).second;
-      ASSERT_TRUE(inserted) << "pair (" << a << "," << b << ") visited twice";
-    });
-
-    // Superset: every pair strictly closer than the cell size is visited.
+    std::set<std::pair<std::size_t, std::size_t>> found;
+    std::vector<std::size_t> candidates;
     for (std::size_t i = 0; i < pts.size(); ++i) {
-      for (std::size_t j = i + 1; j < pts.size(); ++j) {
-        if (pts[i].distance_to(pts[j]) < cell) {
-          EXPECT_TRUE(visited.contains({i, j}))
-              << "close pair (" << i << "," << j << ") missed at cell "
-              << cell;
-        }
+      candidates.clear();
+      grid.query_candidates(pts[i], kRadius, candidates);
+      for (const std::size_t j : candidates) {
+        if (j <= i || pts[i].distance_to(pts[j]) >= kRadius) continue;
+        ASSERT_TRUE(found.insert({i, j}).second)
+            << "pair (" << i << "," << j << ") counted twice";
       }
     }
+
+    std::size_t brute_force = 0;
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      for (std::size_t j = i + 1; j < pts.size(); ++j) {
+        if (pts[i].distance_to(pts[j]) >= kRadius) continue;
+        ++brute_force;
+        EXPECT_TRUE(found.contains({i, j}))
+            << "close pair (" << i << "," << j << ") missed at cell " << cell;
+      }
+    }
+    EXPECT_EQ(found.size(), brute_force) << "cell " << cell;
   }
 }
 

@@ -4,6 +4,8 @@
 // algorithm-level protocol tests.
 #pragma once
 
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 
@@ -14,6 +16,10 @@ namespace nwade::protocol::testing {
 
 class Harness : public SensorProvider {
  public:
+  /// Vehicles one harness can host: the SoA columns are reserved to this
+  /// bound up front, so the rows nodes alias never move.
+  static constexpr std::size_t kMaxVehicles = 64;
+
   explicit Harness(traffic::IntersectionKind kind = traffic::IntersectionKind::kCross4,
                    ImAttackMode im_mode = ImAttackMode::kNone, Tick im_trigger = 0) {
     traffic::IntersectionConfig icfg;
@@ -21,6 +27,7 @@ class Harness : public SensorProvider {
     intersection_ = std::make_unique<traffic::Intersection>(
         traffic::Intersection::build(icfg));
     network_ = std::make_unique<net::Network>(queue_, clock_, net::NetworkConfig{});
+    columns_.reserve(kMaxVehicles);
     signer_ = std::make_unique<crypto::HmacSigner>(Bytes{'t', 'e', 's', 't'});
 
     ImContext ctx;
@@ -42,6 +49,12 @@ class Harness : public SensorProvider {
   /// Spawns a vehicle on `route` and sends its plan request.
   VehicleNode& spawn(std::uint64_t id, int route,
                      VehicleAttackProfile attack = {}) {
+    // VehicleColumns::add_row's capacity assert is compiled out of release
+    // builds: fail loudly here rather than move rows under live nodes.
+    if (columns_.size() >= kMaxVehicles) {
+      std::fprintf(stderr, "Harness: spawn beyond kMaxVehicles\n");
+      std::abort();
+    }
     if (attack.role != VehicleRole::kBenign) malicious_.insert(VehicleId{id});
     VehicleContext ctx;
     ctx.intersection = intersection_.get();
@@ -52,6 +65,7 @@ class Harness : public SensorProvider {
     ctx.im_verifier = signer_->verifier();
     ctx.metrics = &metrics_;
     ctx.malicious_ids = &malicious_;
+    ctx.columns = &columns_;
     auto node = std::make_unique<VehicleNode>(ctx, VehicleId{id}, route,
                                               traffic::VehicleTraits{}, clock_.now(),
                                               attack);
@@ -74,7 +88,9 @@ class Harness : public SensorProvider {
         if (v->exited()) network_->remove_node(v->node_id());
       }
       for (auto& [id, v] : vehicles_) {
-        if (!v->exited() && now_ % 200 == 0) v->watch(now_);
+        if (v->exited() || now_ % 200 != 0 || !v->watch_due(now_)) continue;
+        v->watch_scan(now_);
+        v->watch_emit(now_);
       }
     }
   }
@@ -115,6 +131,7 @@ class Harness : public SensorProvider {
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<crypto::Signer> signer_;
   std::unique_ptr<ImNode> im_;
+  traffic::VehicleColumns columns_;  ///< outlives the nodes aliasing its rows
   std::map<VehicleId, std::unique_ptr<VehicleNode>> vehicles_;
   Tick now_{0};
 };

@@ -11,6 +11,8 @@
 #      reproduce the reference digest.
 #   4. Replay: the bundle recorded by the reference run re-executes with a
 #      matching digest via examples/replay.
+#   5. A misspelt --attack name is rejected with exit 2 before any state
+#      file is written (the name would otherwise fall back to benign).
 #
 # usage: soak_smoke.sh SOAK_BINARY REPLAY_BINARY
 set -u
@@ -76,5 +78,12 @@ staged_digest="$(digest_of staged.log)"
 # --- 4. replay the recorded bundle -----------------------------------------
 "$REPLAY" ref.bundle > replay.log 2>&1 || fail "replay exited $? ($(cat replay.log))"
 grep -q 'digest matches recorded run' replay.log || fail "replay did not confirm digest"
+
+# --- 5. unknown attack names are rejected up front -------------------------
+"$SOAK" --state typo.ckpt "${SCENARIO[@]}" --attack V9 > typo.log 2>&1
+status=$?
+[ "$status" -eq 2 ] || fail "--attack V9 exited $status, expected 2"
+grep -q "unknown Table I attack setting 'V9'" typo.log || fail "--attack V9: $(cat typo.log)"
+[ ! -e typo.ckpt ] || fail "--attack V9 left a state file behind"
 
 echo "soak_smoke: OK (reference digest $ref_digest, $runs staged runs)"

@@ -52,7 +52,13 @@ void write_file(const std::string& path, const Bytes& blob) {
 class CampaignResumeTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(journal_.c_str()); }
-  std::string journal_ = temp_journal("nwade_campaign_resume_test.journal");
+  // One journal per test: ctest runs each test as its own process, in
+  // parallel, so a shared path would let one test clobber another's file.
+  std::string journal_ = temp_journal(
+      ("nwade_campaign_resume_test." +
+       std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+       ".journal")
+          .c_str());
 };
 
 TEST_F(CampaignResumeTest, ColdJournalMatchesPlainRunByteForByte) {

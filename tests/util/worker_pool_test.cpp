@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <mutex>
 #include <numeric>
@@ -76,6 +77,37 @@ TEST(WorkerPool, ReusableAcrossManyJobs) {
     const std::uint64_t n = 64;
     const std::uint64_t base = static_cast<std::uint64_t>(round) * 64;
     EXPECT_EQ(sum, n * base + n * (n - 1) / 2);
+  }
+}
+
+TEST(WorkerPool, BackToBackJobsNeverRunAStaleTask) {
+  // Regression: a worker that took a job but was descheduled before its
+  // first claim could wake into the caller's *next* job and claim indices
+  // with the old count and a returned task — hanging for_each or running the
+  // stale task. Short back-to-back jobs keep that window open; every slot is
+  // tagged with its job number and checked after every call. A wall-clock
+  // budget per pool keeps sanitized builds bounded; the ctest timeout turns
+  // a hang into a failure.
+  constexpr std::size_t kSizes[] = {3, 2, 9, 1, 5, 2, 7, 4};
+  constexpr auto kBudget = std::chrono::milliseconds(1500);
+  for (const int threads : {4, 8}) {
+    WorkerPool pool(threads);
+    std::vector<std::uint64_t> slots(9, 0);
+    const auto deadline = std::chrono::steady_clock::now() + kBudget;
+    std::uint64_t job = 0;
+    while (std::chrono::steady_clock::now() < deadline) {
+      for (int burst = 0; burst < 256; ++burst) {
+        ++job;
+        const std::size_t n = kSizes[job % 8];
+        pool.parallel_for(n, 1, [&slots, job](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) slots[i] = job;
+        });
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(slots[i], job)
+              << "slot " << i << " after job " << job << ", threads " << threads;
+        }
+      }
+    }
   }
 }
 
