@@ -26,6 +26,7 @@
 
 #include "sim/grid.h"
 #include "support.h"
+#include "util/file_io.h"
 
 namespace {
 
@@ -55,8 +56,8 @@ sim::GridConfig grid_config(int rows, int cols, double vpm, Duration duration,
 int run(const Options& opt) {
   const char* out_path = opt.smoke ? "BENCH_grid.smoke.json" : "BENCH_grid.json";
   // Fail a typo'd/unwritable output path in milliseconds, not after the
-  // full timing matrix (bench::preflight_output_path contract).
-  if (!bench::preflight_output_path(out_path)) return 1;
+  // full timing matrix.
+  if (!util::preflight_output_path(out_path)) return 1;
 
   // Same guard rail as bench_campaign: a 1-core host cannot show thread or
   // shard scaling — its rows measure scheduling overhead. Refuse to record

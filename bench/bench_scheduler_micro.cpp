@@ -8,6 +8,7 @@
 #include "aim/scheduler.h"
 #include "support.h"
 #include "traffic/arrivals.h"
+#include "util/file_io.h"
 
 namespace {
 
@@ -164,7 +165,7 @@ int main(int argc, char** argv) {
   // Fail on an unwritable envelope path before the timing runs, and
   // propagate a failed write as a failing exit code — a silent envelope
   // loss would let CI diff against a stale BENCH file.
-  if (!nwade::bench::preflight_output_path(kOutPath)) return 1;
+  if (!nwade::util::preflight_output_path(kOutPath)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return emit_bench_json() ? 0 : 1;

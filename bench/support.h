@@ -5,7 +5,6 @@
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -320,29 +319,6 @@ inline bool json_well_formed(const std::string& text) {
     }
   }
   return seen_root && stack.empty() && !in_string;
-}
-
-/// Probes an output path for writability BEFORE a long run: a typo'd
-/// directory or read-only target should fail in milliseconds, not after
-/// minutes of benchmarking. Append mode probes without clobbering whatever
-/// the file currently holds; a path the probe had to create is removed again
-/// so a failed later stage leaves no empty stub behind. Same contract as the
-/// campaign CLI's preflight. Prints the failure reason and returns false on
-/// an unwritable path.
-inline bool preflight_output_path(const std::string& path) {
-  if (path.empty()) return true;
-  std::FILE* probe_existing = std::fopen(path.c_str(), "rb");
-  const bool existed = probe_existing != nullptr;
-  if (probe_existing) std::fclose(probe_existing);
-  std::FILE* probe = std::fopen(path.c_str(), "ab");
-  if (!probe) {
-    std::fprintf(stderr, "cannot write output path %s: %s\n", path.c_str(),
-                 std::strerror(errno));
-    return false;
-  }
-  std::fclose(probe);
-  if (!existed) std::remove(path.c_str());
-  return true;
 }
 
 /// Writes the envelope and echoes the path; returns false on I/O failure.

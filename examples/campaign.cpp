@@ -13,32 +13,20 @@
 //
 //   ./build/examples/campaign --kinds cross4 --attacks benign,V1
 //       --vpm 60,120 --rounds 2 --threads 4   (one line)
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "nwade/config.h"
 #include "sim/campaign.h"
+#include "util/file_io.h"
 
 using namespace nwade;
 
 namespace {
-
-const struct {
-  const char* token;
-  traffic::IntersectionKind kind;
-} kKindTokens[] = {
-    {"roundabout3", traffic::IntersectionKind::kRoundabout3},
-    {"cross4", traffic::IntersectionKind::kCross4},
-    {"irregular5", traffic::IntersectionKind::kIrregular5},
-    {"cfi4", traffic::IntersectionKind::kCfi4},
-    {"ddi4", traffic::IntersectionKind::kDdi4},
-};
 
 std::vector<std::string> split(const std::string& csv) {
   std::vector<std::string> out;
@@ -61,20 +49,16 @@ bool parse_kinds(const std::string& csv,
     return true;
   }
   for (const std::string& token : split(csv)) {
-    bool found = false;
-    for (const auto& entry : kKindTokens) {
-      if (token == entry.token) {
-        out.push_back(entry.kind);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    traffic::IntersectionKind kind{};
+    if (!traffic::parse_intersection_token(token, kind)) {
       std::fprintf(stderr, "unknown intersection kind '%s' (try: ", token.c_str());
-      for (const auto& entry : kKindTokens) std::fprintf(stderr, "%s ", entry.token);
+      for (const auto& entry : traffic::kIntersectionTokens) {
+        std::fprintf(stderr, "%s ", entry.token);
+      }
       std::fprintf(stderr, "or 'all')\n");
       return false;
     }
+    out.push_back(kind);
   }
   return !out.empty();
 }
@@ -211,26 +195,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Preflight every output path BEFORE the campaign runs: a typo'd directory
-  // or read-only target should fail in milliseconds, not after hours of
-  // simulation. Append mode probes writability without clobbering whatever
-  // the file currently holds; a path the probe had to create is removed
-  // again so a failed later stage leaves no empty stub behind.
+  // Preflight every output path BEFORE the campaign runs.
   for (const std::string* path :
        {&out_path, &results_path, &trace_path, &trace_jsonl_path,
         &metrics_path, &resume_path}) {
-    if (path->empty()) continue;
-    std::FILE* probe_existing = std::fopen(path->c_str(), "rb");
-    const bool existed = probe_existing != nullptr;
-    if (probe_existing) std::fclose(probe_existing);
-    std::FILE* probe = std::fopen(path->c_str(), "ab");
-    if (!probe) {
-      std::fprintf(stderr, "cannot write output path %s: %s\n", path->c_str(),
-                   std::strerror(errno));
-      return 1;
-    }
-    std::fclose(probe);
-    if (!existed) std::remove(path->c_str());
+    if (!util::preflight_output_path(*path)) return 1;
   }
 
   const std::size_t cell_count = sim::expand_cells(cfg).size();

@@ -5,7 +5,9 @@
 // recorded digest bit for bit. Because every run is a pure function of its
 // config and seed, the bundle alone reproduces an incident on any machine;
 // pointing an ASan/TSan build of this binary at a bundle turns "the soak
-// failed overnight" into a deterministic sanitized re-execution.
+// failed overnight" into a deterministic sanitized re-execution. Bundles
+// come from `serve --record-bundle` and from the `<state>.replay` file
+// `serve --state` writes when a snapshot fails its restore probe.
 //
 //   ./build/examples/replay incident.bin
 //
@@ -16,36 +18,21 @@
 
 #include "sim/checkpoint.h"
 #include "sim/world.h"
+#include "util/file_io.h"
 
 using namespace nwade;
-
-namespace {
-
-Bytes read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return {};
-  Bytes out;
-  std::uint8_t buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out.insert(out.end(), buf, buf + n);
-  }
-  std::fclose(f);
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   if (argc != 2 || std::string(argv[1]) == "--help" ||
       std::string(argv[1]) == "-h") {
     std::printf("usage: %s BUNDLE\n", argv[0]);
-    std::printf("  BUNDLE  nwade-replay-v1 file (examples/soak --record-bundle,"
-                " or auto-dumped\n          on a soak invariant violation)\n");
+    std::printf("  BUNDLE  nwade-replay-v1 file (serve --record-bundle, or the\n"
+                "          <state>.replay serve --state dumps on an invariant\n"
+                "          violation)\n");
     return argc == 2 ? 0 : 2;
   }
   const std::string path = argv[1];
-  const Bytes blob = read_file(path);
+  const Bytes blob = util::read_file(path);
   if (blob.empty()) {
     std::fprintf(stderr, "replay: cannot read %s\n", path.c_str());
     return 2;

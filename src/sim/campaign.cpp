@@ -9,6 +9,7 @@
 #include "nwade/config.h"
 #include "sim/checkpoint.h"
 #include "util/crc32.h"
+#include "util/file_io.h"
 #include "util/worker_pool.h"
 
 namespace nwade::sim {
@@ -178,21 +179,6 @@ std::unordered_map<std::size_t, RunSummary> load_progress(
   return out;
 }
 
-/// Reads a whole file; empty on any error (missing file reads as an empty
-/// journal, which load_progress then rejects on the schema check).
-Bytes read_file_bytes(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) return {};
-  Bytes out;
-  std::uint8_t buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out.insert(out.end(), buf, buf + n);
-  }
-  std::fclose(f);
-  return out;
-}
-
 }  // namespace
 
 std::string campaign_fingerprint(const CampaignConfig& cfg) {
@@ -227,8 +213,10 @@ std::vector<CellResult> run_campaign_resumable(const CampaignConfig& cfg,
   const std::vector<CampaignCell> cells = expand_cells(cfg);
   const std::string fingerprint = campaign_fingerprint(cfg);
 
+  // A missing journal reads as empty, which load_progress rejects on the
+  // schema check: a cold start.
   std::unordered_map<std::size_t, RunSummary> done =
-      load_progress(read_file_bytes(progress_path), fingerprint);
+      load_progress(util::read_file(progress_path), fingerprint);
   // Indices past the matrix (a journal from a larger campaign cannot share
   // our fingerprint, but a corrupt index could still frame a valid record).
   std::erase_if(done, [&cells](const auto& kv) {

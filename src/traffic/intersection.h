@@ -18,6 +18,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "geom/path.h"
@@ -50,6 +51,31 @@ inline constexpr IntersectionKind kAllIntersectionKinds[] = {
     IntersectionKind::kRoundabout3, IntersectionKind::kCross4,
     IntersectionKind::kIrregular5, IntersectionKind::kCfi4,
     IntersectionKind::kDdi4};
+
+/// Command-line token for one kind (`campaign --kinds`, `serve --kind`).
+struct IntersectionToken {
+  const char* token;
+  IntersectionKind kind;
+};
+inline constexpr IntersectionToken kIntersectionTokens[] = {
+    {"roundabout3", IntersectionKind::kRoundabout3},
+    {"cross4", IntersectionKind::kCross4},
+    {"irregular5", IntersectionKind::kIrregular5},
+    {"cfi4", IntersectionKind::kCfi4},
+    {"ddi4", IntersectionKind::kDdi4},
+};
+
+/// Looks `token` up in kIntersectionTokens; false when it names no kind.
+inline bool parse_intersection_token(std::string_view token,
+                                     IntersectionKind& out) {
+  for (const IntersectionToken& entry : kIntersectionTokens) {
+    if (token == entry.token) {
+      out = entry.kind;
+      return true;
+    }
+  }
+  return false;
+}
 
 struct IntersectionConfig {
   IntersectionKind kind{IntersectionKind::kCross4};

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "sim/campaign.h"
+#include "util/file_io.h"
 
 namespace nwade::sim {
 namespace {
@@ -27,26 +28,6 @@ CampaignConfig small_campaign() {
 std::string temp_journal(const char* name) {
   const char* dir = std::getenv("TMPDIR");
   return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
-}
-
-Bytes read_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return {};
-  Bytes out;
-  std::uint8_t buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out.insert(out.end(), buf, buf + n);
-  }
-  std::fclose(f);
-  return out;
-}
-
-void write_file(const std::string& path, const Bytes& blob) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fwrite(blob.data(), 1, blob.size(), f);
-  std::fclose(f);
 }
 
 class CampaignResumeTest : public ::testing::Test {
@@ -88,7 +69,7 @@ TEST_F(CampaignResumeTest, TornTailIsDiscardedAndRerunByteIdentical) {
   std::remove(journal_.c_str());
   const std::string expected =
       campaign_results_json(cfg, run_campaign_resumable(cfg, journal_));
-  const Bytes complete = read_file(journal_);
+  const Bytes complete = util::read_file(journal_);
   ASSERT_FALSE(complete.empty());
 
   // Chop the journal mid-record at several depths — exactly what SIGKILL
@@ -99,7 +80,7 @@ TEST_F(CampaignResumeTest, TornTailIsDiscardedAndRerunByteIdentical) {
                complete.begin() + static_cast<std::ptrdiff_t>(
                                       static_cast<double>(complete.size()) *
                                       fraction));
-    write_file(journal_, torn);
+    ASSERT_TRUE(util::write_file_atomic(journal_, torn));
     const std::string resumed =
         campaign_results_json(cfg, run_campaign_resumable(cfg, journal_));
     EXPECT_EQ(resumed, expected) << "truncated at " << fraction;
@@ -111,13 +92,13 @@ TEST_F(CampaignResumeTest, CorruptRecordByteIsDiscardedNotTrusted) {
   std::remove(journal_.c_str());
   const std::string expected =
       campaign_results_json(cfg, run_campaign_resumable(cfg, journal_));
-  Bytes blob = read_file(journal_);
+  Bytes blob = util::read_file(journal_);
   ASSERT_GT(blob.size(), 200u);
 
   // Flip one byte inside the first record's payload (past the two header
   // strings): its CRC must fail, dropping it and everything after.
   blob[150] ^= 0x01;
-  write_file(journal_, blob);
+  ASSERT_TRUE(util::write_file_atomic(journal_, blob));
   const std::string resumed =
       campaign_results_json(cfg, run_campaign_resumable(cfg, journal_));
   EXPECT_EQ(resumed, expected);

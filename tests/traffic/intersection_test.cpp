@@ -123,6 +123,21 @@ INSTANTIATE_TEST_SUITE_P(
       return "Unknown";
     });
 
+TEST(IntersectionTokens, EveryKindRoundTripsThroughItsToken) {
+  std::set<IntersectionKind> seen;
+  for (const IntersectionToken& entry : kIntersectionTokens) {
+    IntersectionKind parsed = IntersectionKind::kCross4;
+    ASSERT_TRUE(parse_intersection_token(entry.token, parsed)) << entry.token;
+    EXPECT_EQ(parsed, entry.kind);
+    seen.insert(entry.kind);
+  }
+  EXPECT_EQ(seen.size(), std::size(kAllIntersectionKinds));
+  IntersectionKind untouched = IntersectionKind::kDdi4;
+  EXPECT_FALSE(parse_intersection_token("4-way cross", untouched));
+  EXPECT_FALSE(parse_intersection_token("", untouched));
+  EXPECT_EQ(untouched, IntersectionKind::kDdi4);
+}
+
 // --- Layout-specific structure ------------------------------------------------
 
 TEST(Cross4, HasTwelveRoutes) {
