@@ -37,7 +37,7 @@ BigUint random_odd_modulus(Rng& rng, int bits) {
   return m;
 }
 
-chain::Block make_block(const Signer& signer, int n_plans) {
+chain::BlockPtr make_block(const Signer& signer, int n_plans) {
   std::vector<aim::TravelPlan> plans;
   for (int i = 0; i < n_plans; ++i) {
     aim::TravelPlan p;
@@ -118,8 +118,8 @@ int run(const Options& opt) {
       hit_allocs_raw < 0 ? hit_allocs_raw : hit_allocs_raw / 64.0;
 
   // --- block serialization (reserved exact wire size) -----------------------
-  const chain::Block block = make_block(signer, plans_per_block);
-  const auto serialize_op = [&] { (void)block.serialize(); };
+  const chain::BlockPtr block = make_block(signer, plans_per_block);
+  const auto serialize_op = [&] { (void)block->serialize(); };
   const auto t_serialize = bench::timed_median(warmup, reps, serialize_op);
   const double serialize_allocs = bench::allocs_per_op(8, serialize_op);
 

@@ -158,11 +158,11 @@ void BM_BlockStructuralVerify(benchmark::State& state) {
   for (int i = 0; i < state.range(0); ++i) {
     plans.push_back(micro_plan(static_cast<std::uint64_t>(i) + 1));
   }
-  const chain::Block block = chain::Block::package(1, {}, 1000, plans, *signer);
+  const chain::BlockPtr block = chain::Block::package(1, {}, 1000, plans, *signer);
   const auto verifier = signer->verifier();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(block.verify_signature(*verifier));
-    benchmark::DoNotOptimize(block.verify_merkle());
+    benchmark::DoNotOptimize(block->verify_signature(*verifier));
+    benchmark::DoNotOptimize(block->verify_merkle());
   }
 }
 BENCHMARK(BM_BlockStructuralVerify)

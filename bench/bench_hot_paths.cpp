@@ -7,7 +7,8 @@
 //      (every receiver deserializes its own wire copy, rebuilds the Merkle
 //      tree, and pays a full RSA modexp — emulated by disabling the
 //      process-wide SigVerifyCache) vs the shared-block fanout_verify path
-//      (one Block object, cached payload/tree, one modexp for the fleet).
+//      (one immutable Block, payload and Merkle root built once, one modexp
+//      for the fleet).
 //   C. the telemetry tax: the same seeded World run with the event tracer
 //      off vs on. The envelope carries the measured overhead as a top-level
 //      telemetry_overhead_pct field (docs/OBSERVABILITY.md quotes it).
@@ -58,7 +59,7 @@ bench::TimingStats time_schedule_dense(const traffic::Intersection& ix,
 
 // --- phase B: block-verification fan-out ------------------------------------
 
-chain::Block make_block(const crypto::Signer& signer, int n_plans) {
+chain::BlockPtr make_block(const crypto::Signer& signer, int n_plans) {
   std::vector<aim::TravelPlan> plans;
   for (int i = 0; i < n_plans; ++i) {
     aim::TravelPlan p;
@@ -161,7 +162,8 @@ int run(const Options& opt) {
   Rng rng(7);
   const auto signer = crypto::RsaSigner::generate(rng, rsa_bits);
   const auto verifier = signer->verifier();
-  const chain::Block block = make_block(*signer, plans_per_block);
+  const chain::BlockPtr block_ptr = make_block(*signer, plans_per_block);
+  const chain::Block& block = *block_ptr;
   const Bytes wire = block.serialize();
 
   const auto fan_uncached =

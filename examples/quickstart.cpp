@@ -36,11 +36,10 @@ int main() {
   // --- 3. The travel-plan blockchain ---------------------------------------------
   Rng rng(7);
   const auto signer = crypto::RsaSigner::generate(rng, 1024);
-  const chain::Block block =
-      chain::Block::package(0, {}, 0, {p1, p2}, *signer);
+  const chain::BlockPtr block = chain::Block::package(0, {}, 0, {p1, p2}, *signer);
   std::printf("block 0: %zu plans, root %.16s..., signature %zu bytes\n",
-              block.plans().size(), crypto::digest_hex(block.merkle_root).c_str(),
-              block.signature.size());
+              block->plans().size(), crypto::digest_hex(block->merkle_root).c_str(),
+              block->signature.size());
 
   chain::BlockStore store;
   const auto appended = store.append(block, *signer->verifier());

@@ -2,10 +2,12 @@
 # Full verification sweep: the default tree runs every suite (unit, chaos,
 # perf smokes, obs, the soak SIGKILL smoke, campaign CLI, the bench_diff.py
 # unittests); the sanitizer trees rebuild the whole stack instrumented and
-# run their intended payload — the chaos label (fault injection,
-# corrupt-wire fuzzing, threaded campaign fan-out, the grid shard fan-out:
-# grid_parallel_test and the bench_grid smoke both carry it; see
-# docs/FAULT_MODEL.md, docs/CHECKPOINT.md, docs/GRID.md).
+# run their intended payload, the same labels as the CI jobs of the same
+# name. TSan runs the chaos label (fault injection, corrupt-wire fuzzing,
+# threaded campaign fan-out, the grid shard fan-out: grid_parallel_test and
+# the bench_grid smoke both carry it; see docs/FAULT_MODEL.md,
+# docs/CHECKPOINT.md, docs/GRID.md); ASan adds the obs and soak labels (the
+# TCP sink machinery, serve's snapshot restore probe and resume path).
 #
 #   scripts/check.sh              # default + ASan + TSan
 #   scripts/check.sh default      # just the default tree
@@ -48,8 +50,8 @@ for stage in "${stages[@]}"; do
       run_tree build --
       ;;
     asan)
-      echo "=== ASan tree: chaos suite ==="
-      run_tree build-asan -DSANITIZE=address -- -L chaos
+      echo "=== ASan tree: chaos + obs + soak suites ==="
+      run_tree build-asan -DSANITIZE=address -- -L 'chaos|obs|soak'
       ;;
     tsan)
       echo "=== TSan tree: chaos suite ==="

@@ -3,191 +3,90 @@
 #include <utility>
 
 namespace nwade::chain {
+namespace {
 
-Block::Block(const Block& other)
-    : signature(other.signature),
-      prev_hash(other.prev_hash),
-      timestamp(other.timestamp),
-      merkle_root(other.merkle_root),
-      seq(other.seq),
-      revoked(other.revoked),
-      plans_(other.plans_) {
-  // Warm caches travel with the copy: a store appending a verified broadcast
-  // block keeps its hash, payload, and Merkle tree without recomputation.
-  std::lock_guard<std::mutex> lock(other.cache_mu_);
-  snapshot_valid_ = other.snapshot_valid_;
-  snapshot_ = other.snapshot_;
-  payload_valid_ = other.payload_valid_;
-  payload_cache_ = other.payload_cache_;
-  hash_valid_ = other.hash_valid_;
-  hash_cache_ = other.hash_cache_;
-  wire_valid_ = other.wire_valid_;
-  wire_size_cache_ = other.wire_size_cache_;
-  tree_cache_ = other.tree_cache_;
-}
-
-Block::Block(Block&& other) noexcept
-    : signature(std::move(other.signature)),
-      prev_hash(other.prev_hash),
-      timestamp(other.timestamp),
-      merkle_root(other.merkle_root),
-      seq(other.seq),
-      revoked(std::move(other.revoked)),
-      plans_(std::move(other.plans_)),
-      snapshot_valid_(other.snapshot_valid_),
-      snapshot_(std::move(other.snapshot_)),
-      payload_valid_(other.payload_valid_),
-      payload_cache_(std::move(other.payload_cache_)),
-      hash_valid_(other.hash_valid_),
-      hash_cache_(other.hash_cache_),
-      wire_valid_(other.wire_valid_),
-      wire_size_cache_(other.wire_size_cache_),
-      tree_cache_(std::move(other.tree_cache_)) {
-  other.snapshot_valid_ = false;
-  other.payload_valid_ = false;
-  other.hash_valid_ = false;
-  other.wire_valid_ = false;
-}
-
-Block& Block::operator=(const Block& other) {
-  if (this == &other) return *this;
-  Block tmp(other);
-  *this = std::move(tmp);
-  return *this;
-}
-
-Block& Block::operator=(Block&& other) noexcept {
-  if (this == &other) return *this;
-  signature = std::move(other.signature);
-  prev_hash = other.prev_hash;
-  timestamp = other.timestamp;
-  merkle_root = other.merkle_root;
-  seq = other.seq;
-  revoked = std::move(other.revoked);
-  plans_ = std::move(other.plans_);
-  snapshot_valid_ = other.snapshot_valid_;
-  snapshot_ = std::move(other.snapshot_);
-  payload_valid_ = other.payload_valid_;
-  payload_cache_ = std::move(other.payload_cache_);
-  hash_valid_ = other.hash_valid_;
-  hash_cache_ = other.hash_cache_;
-  wire_valid_ = other.wire_valid_;
-  wire_size_cache_ = other.wire_size_cache_;
-  tree_cache_ = std::move(other.tree_cache_);
-  other.snapshot_valid_ = false;
-  other.payload_valid_ = false;
-  other.hash_valid_ = false;
-  other.wire_valid_ = false;
-  return *this;
-}
-
-std::vector<aim::TravelPlan>& Block::mutable_plans() {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  tree_cache_.reset();
-  wire_valid_ = false;
-  return plans_;
-}
-
-void Block::set_plans(std::vector<aim::TravelPlan> plans) {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  plans_ = std::move(plans);
-  tree_cache_.reset();
-  wire_valid_ = false;
-}
-
-std::shared_ptr<const crypto::MerkleTree> Block::build_tree(
-    const std::vector<aim::TravelPlan>& plans) {
+crypto::MerkleTree tree_of(const std::vector<aim::TravelPlan>& plans) {
   std::vector<Bytes> leaves;
   leaves.reserve(plans.size());
   for (const aim::TravelPlan& p : plans) leaves.push_back(p.serialize());
-  return std::make_shared<crypto::MerkleTree>(leaves);
+  return crypto::MerkleTree(leaves);
 }
 
-void Block::revalidate_header_locked() const {
-  if (snapshot_valid_ && snapshot_.signature == signature &&
-      snapshot_.prev_hash == prev_hash && snapshot_.timestamp == timestamp &&
-      snapshot_.merkle_root == merkle_root && snapshot_.seq == seq &&
-      snapshot_.revoked == revoked) {
-    return;
-  }
-  snapshot_.signature = signature;
-  snapshot_.prev_hash = prev_hash;
-  snapshot_.timestamp = timestamp;
-  snapshot_.merkle_root = merkle_root;
-  snapshot_.seq = seq;
-  snapshot_.revoked = revoked;
-  snapshot_valid_ = true;
-  payload_valid_ = false;
-  hash_valid_ = false;
-  wire_valid_ = false;
+Bytes payload_of(BlockSeq seq, const crypto::Digest& prev_hash, Tick timestamp,
+                 const crypto::Digest& merkle_root,
+                 const std::vector<VehicleId>& revoked) {
+  // u64 seq + length-prefixed 32-byte hashes + i64 timestamp + u32 count +
+  // u64 ids.
+  ByteWriter w;
+  w.reserve(92 + 8 * revoked.size());
+  w.u64(seq);
+  w.bytes(prev_hash);
+  w.i64(timestamp);
+  w.bytes(merkle_root);
+  w.u32(static_cast<std::uint32_t>(revoked.size()));
+  for (VehicleId v : revoked) w.u64(v.value);
+  return w.take();
 }
 
-const Bytes& Block::payload_locked() const {
-  revalidate_header_locked();
-  if (!payload_valid_) {
-    // Recycle the cache's old buffer and size the payload exactly: u64 seq +
-    // length-prefixed 32-byte hashes + i64 timestamp + u32 count + u64 ids.
-    ByteWriter w(std::move(payload_cache_));
-    w.reserve(92 + 8 * revoked.size());
-    w.u64(seq);
-    w.bytes(prev_hash);
-    w.i64(timestamp);
-    w.bytes(merkle_root);
-    w.u32(static_cast<std::uint32_t>(revoked.size()));
-    for (VehicleId v : revoked) w.u64(v.value);
-    payload_cache_ = w.take();
-    payload_valid_ = true;
-  }
-  return payload_cache_;
+crypto::Digest hash_of(const Bytes& signature, const Bytes& payload) {
+  crypto::Sha256 h;
+  h.update(signature);
+  h.update(payload);
+  return h.finish();
 }
 
-const crypto::MerkleTree& Block::tree_locked() const {
-  if (!tree_cache_) tree_cache_ = build_tree(plans_);
-  return *tree_cache_;
+/// serialize()'s exact size: the header (100 bytes + signature + revoked
+/// ids) plus each length-prefixed plan.
+std::size_t wire_size_of(const Bytes& signature, const std::vector<VehicleId>& revoked,
+                         const std::vector<aim::TravelPlan>& plans) {
+  std::size_t total = 100 + signature.size() + 8 * revoked.size();
+  for (const aim::TravelPlan& p : plans) total += 4 + p.wire_size();
+  return total;
 }
 
-Bytes Block::signed_payload() const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  return payload_locked();
+}  // namespace
+
+// std::move(f) only binds the rvalue reference: the root and the payload read
+// f before the delegated constructor's member initializers move from it.
+Block::Block(BlockFields f)
+    : Block(std::move(f), tree_of(f.plans).root(),
+            payload_of(f.seq, f.prev_hash, f.timestamp, f.merkle_root, f.revoked)) {}
+
+Block::Block(BlockFields&& f, const crypto::Digest& computed_root, Bytes payload)
+    : signature(std::move(f.signature)),
+      prev_hash(f.prev_hash),
+      timestamp(f.timestamp),
+      merkle_root(f.merkle_root),
+      seq(f.seq),
+      revoked(std::move(f.revoked)),
+      plans_(std::move(f.plans)),
+      computed_root_(computed_root),
+      payload_(std::move(payload)),
+      hash_(hash_of(signature, payload_)),
+      wire_size_(wire_size_of(signature, revoked, plans_)) {}
+
+BlockFields Block::fields() const {
+  return BlockFields{signature, prev_hash, timestamp, merkle_root, seq, revoked, plans_};
 }
 
-crypto::Digest Block::hash() const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  const Bytes& payload = payload_locked();
-  if (!hash_valid_) {
-    crypto::Sha256 h;
-    h.update(signature);
-    h.update(payload);
-    hash_cache_ = h.finish();
-    hash_valid_ = true;
-  }
-  return hash_cache_;
-}
-
-Block Block::package(BlockSeq seq, const crypto::Digest& prev_hash, Tick timestamp,
-                     std::vector<aim::TravelPlan> plans,
-                     const crypto::Signer& signer, std::vector<VehicleId> revoked) {
-  Block b;
-  b.seq = seq;
-  b.prev_hash = prev_hash;
-  b.timestamp = timestamp;
-  b.plans_ = std::move(plans);
-  b.revoked = std::move(revoked);
-  b.tree_cache_ = build_tree(b.plans_);
-  b.merkle_root = b.tree_cache_->root();
-  b.signature = signer.sign(b.signed_payload());
-  return b;
+BlockPtr Block::package(BlockSeq seq, const crypto::Digest& prev_hash, Tick timestamp,
+                        std::vector<aim::TravelPlan> plans,
+                        const crypto::Signer& signer, std::vector<VehicleId> revoked) {
+  BlockFields f;
+  f.seq = seq;
+  f.prev_hash = prev_hash;
+  f.timestamp = timestamp;
+  f.merkle_root = tree_of(plans).root();
+  Bytes payload = payload_of(seq, prev_hash, timestamp, f.merkle_root, revoked);
+  f.signature = signer.sign(payload);
+  f.revoked = std::move(revoked);
+  f.plans = std::move(plans);
+  // Not make_shared: the constructor that takes the root and payload is private.
+  return BlockPtr(new Block(std::move(f), f.merkle_root, std::move(payload)));
 }
 
 bool Block::verify_signature(const crypto::Verifier& verifier) const {
-  // Copy the payload out rather than verifying under cache_mu_: an RSA
-  // modexp inside the lock would serialize the worker pool's fan-out.
-  return verifier.verify(signed_payload(), signature);
-}
-
-bool Block::verify_merkle() const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  return tree_locked().root() == merkle_root;
+  return verifier.verify(payload_, signature);
 }
 
 const aim::TravelPlan* Block::plan_for(VehicleId id) const {
@@ -198,19 +97,15 @@ const aim::TravelPlan* Block::plan_for(VehicleId id) const {
 }
 
 crypto::MerkleProof Block::prove_plan(std::size_t index) const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  return tree_locked().prove(index);
+  return tree_of(plans_).prove(index);
 }
 
 Bytes Block::serialize() const {
-  // Header (100 bytes + signature + revoked ids) plus each length-prefixed
-  // plan; reserving the exact total turns the per-plan appends from repeated
+  // Reserving the exact total turns the per-plan appends from repeated
   // geometric regrowth (quadratic copying on large windows) into one
   // allocation.
-  std::size_t total = 100 + signature.size() + 8 * revoked.size();
-  for (const aim::TravelPlan& p : plans_) total += 4 + p.wire_size();
   ByteWriter w;
-  w.reserve(total);
+  w.reserve(wire_size_);
   w.bytes(signature);
   w.bytes(prev_hash);
   w.i64(timestamp);
@@ -223,42 +118,32 @@ Bytes Block::serialize() const {
   return w.take();
 }
 
-std::optional<Block> Block::deserialize(const Bytes& data) {
+BlockPtr Block::deserialize(const Bytes& data) {
   ByteReader r(data);
-  Block b;
-  b.signature = r.bytes();
+  BlockFields f;
+  f.signature = r.bytes();
   const Bytes prev = r.bytes();
-  if (prev.size() != b.prev_hash.size()) return std::nullopt;
-  std::copy(prev.begin(), prev.end(), b.prev_hash.begin());
-  b.timestamp = r.i64();
+  if (prev.size() != f.prev_hash.size()) return nullptr;
+  std::copy(prev.begin(), prev.end(), f.prev_hash.begin());
+  f.timestamp = r.i64();
   const Bytes root = r.bytes();
-  if (root.size() != b.merkle_root.size()) return std::nullopt;
-  std::copy(root.begin(), root.end(), b.merkle_root.begin());
-  b.seq = r.u64();
+  if (root.size() != f.merkle_root.size()) return nullptr;
+  std::copy(root.begin(), root.end(), f.merkle_root.begin());
+  f.seq = r.u64();
   const std::uint32_t n_revoked = r.u32();
-  if (n_revoked > 100000) return std::nullopt;
-  b.revoked.reserve(n_revoked);
-  for (std::uint32_t i = 0; i < n_revoked; ++i) b.revoked.push_back(VehicleId{r.u64()});
+  if (n_revoked > 100000) return nullptr;
+  f.revoked.reserve(n_revoked);
+  for (std::uint32_t i = 0; i < n_revoked; ++i) f.revoked.push_back(VehicleId{r.u64()});
   const std::uint32_t n = r.u32();
-  if (n > 100000) return std::nullopt;
-  b.plans_.reserve(n);
+  if (n > 100000) return nullptr;
+  f.plans.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     auto plan = aim::TravelPlan::deserialize(r.bytes());
-    if (!plan) return std::nullopt;
-    b.plans_.push_back(std::move(*plan));
+    if (!plan) return nullptr;
+    f.plans.push_back(std::move(*plan));
   }
-  if (!r.ok() || !r.at_end()) return std::nullopt;
-  return b;
-}
-
-std::size_t Block::wire_size() const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  revalidate_header_locked();
-  if (!wire_valid_) {
-    wire_size_cache_ = serialize().size();
-    wire_valid_ = true;
-  }
-  return wire_size_cache_;
+  if (!r.ok() || !r.at_end()) return nullptr;
+  return std::make_shared<const Block>(std::move(f));
 }
 
 }  // namespace nwade::chain

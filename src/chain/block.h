@@ -8,21 +8,15 @@
 // R_i     Merkle root over the window's travel plans (plans ride along as
 //         the leaves, so receivers can re-derive and check R_i)
 //
-// Derived values (signed payload, hash, Merkle tree, wire size) are
-// memoized: a broadcast block is verified by every receiver and hashed by
-// every chain append, so recomputing them per call made block fan-out the
-// simulator's crypto hot path. The header fields stay public (the attack
-// tests tamper with them directly); each cache therefore snapshots the
-// inputs it was computed from and re-validates by comparison, so mutation
-// through a public field can never be observed as a stale answer. The plan
-// list is the one exception: it is private behind plans()/mutable_plans()
-// because re-serializing every plan per query just to validate a cache
-// would cost what the cache saves.
+// A Block is immutable once built, and every holder (the IM's window, each
+// vehicle's store, every broadcast and block response) shares the one object
+// through a BlockPtr. The derived values (signed payload, hash, the Merkle
+// root recomputed from the plans, wire size) are therefore computed once, in
+// the constructor, and concurrent readers need no lock. A test that forges a
+// tampered block edits a fields() copy and builds a new Block from it.
 #pragma once
 
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <vector>
 
 #include "aim/plan.h"
@@ -36,7 +30,11 @@ namespace nwade::chain {
 /// Sequence number of a block within one intersection's chain (genesis = 0).
 using BlockSeq = std::uint64_t;
 
-struct Block {
+class Block;
+using BlockPtr = std::shared_ptr<const Block>;
+
+/// A block's plain fields, as signed and sent on the wire.
+struct BlockFields {
   Bytes signature;               ///< s_i
   crypto::Digest prev_hash{};    ///< h_{i-1}
   Tick timestamp{0};             ///< tau_i
@@ -47,91 +45,74 @@ struct Block {
   /// an evacuation alert do not treat a revoked plan as live when checking
   /// new blocks for conflicts.
   std::vector<VehicleId> revoked;
-
-  Block() = default;
-  Block(const Block& other);
-  Block(Block&& other) noexcept;
-  Block& operator=(const Block& other);
-  Block& operator=(Block&& other) noexcept;
-
   /// The window's travel plans (the Merkle leaves).
+  std::vector<aim::TravelPlan> plans;
+};
+
+class Block {
+ public:
+  /// Builds a block from its fields as given: nothing is re-signed, so a
+  /// tampered field shows up as a failed verify_signature()/verify_merkle().
+  explicit Block(BlockFields fields);
+
+  Block(const Block&) = delete;
+  Block& operator=(const Block&) = delete;
+
+  /// Builds and signs a block over a window's plans.
+  static BlockPtr package(BlockSeq seq, const crypto::Digest& prev_hash, Tick timestamp,
+                          std::vector<aim::TravelPlan> plans,
+                          const crypto::Signer& signer,
+                          std::vector<VehicleId> revoked = {});
+
+  /// Decodes serialize()'s bytes; nullptr on malformed input.
+  static BlockPtr deserialize(const Bytes& data);
+
+  const Bytes signature;
+  const crypto::Digest prev_hash;
+  const Tick timestamp;
+  const crypto::Digest merkle_root;
+  const BlockSeq seq;
+  const std::vector<VehicleId> revoked;
+
   const std::vector<aim::TravelPlan>& plans() const { return plans_; }
 
-  /// Mutable access to the plan list; drops every plan-derived cache
-  /// (Merkle tree, wire size). Writes through a retained reference after
-  /// other const calls are not tracked — re-call for further mutation.
-  std::vector<aim::TravelPlan>& mutable_plans();
-
-  /// Replaces the plan list wholesale.
-  void set_plans(std::vector<aim::TravelPlan> plans);
+  /// A copy of the fields, to edit and rebuild from.
+  BlockFields fields() const;
 
   /// The bytes that s_i signs: <seq, h_{i-1}, tau_i, R_i, revoked>.
-  Bytes signed_payload() const;
+  const Bytes& signed_payload() const { return payload_; }
 
   /// SHA-256 over the header (signature + signed payload); the next block's
   /// h_{i-1}.
-  crypto::Digest hash() const;
-
-  /// Builds and signs a block over a window's plans.
-  static Block package(BlockSeq seq, const crypto::Digest& prev_hash, Tick timestamp,
-                       std::vector<aim::TravelPlan> plans, const crypto::Signer& signer,
-                       std::vector<VehicleId> revoked = {});
+  const crypto::Digest& hash() const { return hash_; }
 
   /// Signature check against the intersection manager's public key.
   bool verify_signature(const crypto::Verifier& verifier) const;
 
-  /// Recomputes the Merkle root from the plans and compares with
-  /// `merkle_root`.
-  bool verify_merkle() const;
+  /// The Merkle root recomputed from the plans equals `merkle_root`.
+  bool verify_merkle() const { return computed_root_ == merkle_root; }
 
-  /// The plan for a given vehicle inside this block, if present.
+  /// The first plan for a given vehicle inside this block, if present.
   const aim::TravelPlan* plan_for(VehicleId id) const;
 
   /// Merkle membership proof for the plan at `index` (see MerkleTree).
   crypto::MerkleProof prove_plan(std::size_t index) const;
 
   Bytes serialize() const;
-  static std::optional<Block> deserialize(const Bytes& data);
 
-  /// Approximate wire size (for network-load accounting).
-  std::size_t wire_size() const;
+  /// Exactly serialize().size() (network-load accounting).
+  std::size_t wire_size() const { return wire_size_; }
 
  private:
-  /// Everything the header-derived caches were computed from.
-  struct HeaderSnapshot {
-    Bytes signature;
-    crypto::Digest prev_hash{};
-    Tick timestamp{0};
-    crypto::Digest merkle_root{};
-    BlockSeq seq{0};
-    std::vector<VehicleId> revoked;
-  };
+  /// The fields constructor, given the Merkle root recomputed from the plans
+  /// and the signed payload (package() has built both to sign).
+  Block(BlockFields&& fields, const crypto::Digest& computed_root, Bytes payload);
 
-  static std::shared_ptr<const crypto::MerkleTree> build_tree(
-      const std::vector<aim::TravelPlan>& plans);
-
-  /// Compares the live header fields against the snapshot; on any change,
-  /// recaptures and drops the header-derived caches. cache_mu_ must be held.
-  void revalidate_header_locked() const;
-  const Bytes& payload_locked() const;
-  const crypto::MerkleTree& tree_locked() const;
-
-  std::vector<aim::TravelPlan> plans_;
-
-  // Memoized derived values. The mutex makes concurrent const access safe
-  // (the worker pool fans block verifications across threads); the first
-  // caller computes, the rest reuse.
-  mutable std::mutex cache_mu_;
-  mutable bool snapshot_valid_{false};
-  mutable HeaderSnapshot snapshot_;
-  mutable bool payload_valid_{false};
-  mutable Bytes payload_cache_;
-  mutable bool hash_valid_{false};
-  mutable crypto::Digest hash_cache_{};
-  mutable bool wire_valid_{false};
-  mutable std::size_t wire_size_cache_{0};
-  /// Shared, not copied, across Block copies (the tree is immutable).
-  mutable std::shared_ptr<const crypto::MerkleTree> tree_cache_;
+  const std::vector<aim::TravelPlan> plans_;
+  const crypto::Digest computed_root_;
+  const Bytes payload_;
+  const crypto::Digest hash_;
+  const std::size_t wire_size_;
 };
 
 }  // namespace nwade::chain

@@ -5,15 +5,9 @@ namespace nwade::chain {
 std::vector<std::uint8_t> fanout_verify(
     const Block& block, const std::vector<const crypto::Verifier*>& verifiers,
     util::WorkerPool& pool) {
-  // Warm the block's payload, Merkle, and hash caches on this thread first:
-  // the fanned tasks then read them without ever contending to build them.
-  const Bytes payload = block.signed_payload();
   const bool merkle_ok = block.verify_merkle();
-  (void)block.hash();
-
   return pool.map<std::uint8_t>(verifiers.size(), [&](std::size_t i) {
-    return static_cast<std::uint8_t>(
-        merkle_ok && verifiers[i]->verify(payload, block.signature));
+    return static_cast<std::uint8_t>(merkle_ok && block.verify_signature(*verifiers[i]));
   });
 }
 

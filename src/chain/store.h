@@ -1,15 +1,19 @@
-// Vehicle-side bounded blockchain cache.
+// Bounded blockchain cache: each vehicle's store, and the IM's window of the
+// blocks it published.
 //
 // "Each vehicle only needs to store the blockchain at its current
 // intersection... The maximum length of the chain that a vehicle needs to
 // cache and verify equals tau/delta" — crossing time over processing-window
 // length. The store enforces structural chain validity (signature, Merkle
-// root, prev-hash linkage) on append and evicts blocks beyond the depth
-// bound. Semantic plan-conflict checking lives in the NWADE protocol layer.
+// root, prev-hash linkage, one block per seq) on append and evicts blocks
+// beyond the depth bound. It holds shared BlockPtrs, never copies, and
+// indexes the newest cached plan of every vehicle. Semantic plan-conflict
+// checking lives in the NWADE protocol layer.
 #pragma once
 
 #include <deque>
-#include <optional>
+#include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "chain/block.h"
@@ -25,9 +29,27 @@ enum class ChainError {
   kBrokenLinkage,     ///< prev_hash does not match our latest block
   kNonMonotonicSeq,   ///< sequence number gap or replay
   kStaleTimestamp,    ///< timestamp not increasing
+  kEquivocation,      ///< a different block under a seq the store still holds
 };
 
 const char* chain_error_name(ChainError e);
+
+/// Restore-time table: one Block per distinct serialized block, so every
+/// holder restored through the same table shares its blocks the way a
+/// running world does.
+class BlockTable {
+ public:
+  /// The Block `wire` decodes to; nullptr on malformed input.
+  BlockPtr get(const Bytes& wire);
+
+ private:
+  /// Size, then bytes: std::vector's own operator< trips GCC 12's
+  /// -Wstringop-overread false positive under -Wall.
+  struct WireLess {
+    bool operator()(const Bytes& a, const Bytes& b) const;
+  };
+  std::map<Bytes, BlockPtr, WireLess> by_wire_;
+};
 
 class BlockStore {
  public:
@@ -36,19 +58,26 @@ class BlockStore {
 
   /// Validates and appends a block. On any failure the store is unchanged
   /// and the error tells the caller what was wrong with the block.
-  Result<void, ChainError> append(const Block& block, const crypto::Verifier& verifier);
+  Result<void, ChainError> append(const BlockPtr& block, const crypto::Verifier& verifier);
+
+  /// Appends without validation: the IM's window of its own blocks, and
+  /// checkpoint restore (the blocks were validated before the checkpoint,
+  /// and re-verifying would perturb the signature-verify cache's counters).
+  void append_unchecked(BlockPtr block);
 
   bool empty() const { return blocks_.empty(); }
   std::size_t size() const { return blocks_.size(); }
   std::size_t max_depth() const { return max_depth_; }
 
-  const Block* latest() const { return blocks_.empty() ? nullptr : &blocks_.back(); }
-  const Block* by_seq(BlockSeq seq) const;
+  const Block* latest() const { return blocks_.empty() ? nullptr : blocks_.back().get(); }
+
+  /// The cached block holding `seq`; null when none does.
+  BlockPtr by_seq(BlockSeq seq) const;
 
   /// Sequence number the next append must carry to keep the chain contiguous;
   /// 0 when the store is empty (any starting seq is accepted).
   BlockSeq next_expected() const {
-    return blocks_.empty() ? 0 : blocks_.back().seq + 1;
+    return blocks_.empty() ? 0 : blocks_.back()->seq + 1;
   }
 
   /// The gap an incoming block with sequence `incoming` would reveal: every
@@ -58,26 +87,42 @@ class BlockStore {
   std::vector<BlockSeq> missing_before(BlockSeq incoming, std::size_t limit) const;
 
   /// All cached blocks, oldest first.
-  const std::deque<Block>& blocks() const { return blocks_; }
+  const std::deque<BlockPtr>& blocks() const { return blocks_; }
 
-  /// Finds a vehicle's most recent plan across cached blocks (newest wins —
-  /// evacuation/recovery plans supersede older ones).
+  /// A vehicle's newest cached plan (evacuation/recovery plans supersede
+  /// older ones); null when no cached block carries one.
   const aim::TravelPlan* find_plan(VehicleId id) const;
+
+  /// The newest cached block carrying a plan for `id`; null when none does.
+  BlockPtr block_with_plan(VehicleId id) const;
+
+  /// find_plan() of every vehicle with a cached plan, in VehicleId order.
+  std::vector<const aim::TravelPlan*> latest_plans() const;
 
   // --- checkpoint/restore (sim/checkpoint) ----------------------------------
 
   /// Serializes the depth bound and every cached block (Block::serialize).
   void checkpoint_save(ByteWriter& w) const;
 
-  /// Restores a saved store. Appends are *unchecked*: the blocks were
-  /// validated before the checkpoint, and re-verifying here would perturb
-  /// the signature-verify cache's hit/miss counters on resume. Returns false
-  /// on malformed input (the store may then be partially filled).
-  bool checkpoint_restore(ByteReader& r);
+  /// Restores a saved store through `table` (unchecked appends). Returns
+  /// false on malformed input (the store may then be partially filled).
+  bool checkpoint_restore(ByteReader& r, BlockTable& table);
 
  private:
+  /// A vehicle's newest cached plan: the newest cached block carrying a plan
+  /// for it, and the first such plan in that block.
+  struct PlanRef {
+    BlockPtr block;
+    const aim::TravelPlan* plan{nullptr};
+  };
+
+  const PlanRef* plan_ref(VehicleId id) const;
+
   std::size_t max_depth_;
-  std::deque<Block> blocks_;
+  std::deque<BlockPtr> blocks_;
+  /// Kept in step with blocks_ by append_unchecked: every append points its
+  /// vehicles here, every eviction drops the entries that point at it.
+  std::unordered_map<VehicleId, PlanRef> plans_;
 };
 
 }  // namespace nwade::chain

@@ -99,8 +99,8 @@ void ImNode::restart(Tick now) {
   // Rebuild the plan table from the durable chain: newest plan per vehicle,
   // skipping perception-derived virtual plans (the next window re-tracks any
   // legacy vehicle still in range) and vehicles that already left.
-  for (const chain::Block& block : recent_blocks_) {
-    for (const aim::TravelPlan& plan : block.plans()) {
+  for (const chain::BlockPtr& block : recent_blocks_.blocks()) {
+    for (const aim::TravelPlan& plan : block->plans()) {
       if (plan.unmanaged) continue;
       ever_planned_.insert(plan.vehicle);
       const auto it = active_plans_.find(plan.vehicle);
@@ -108,7 +108,7 @@ void ImNode::restart(Tick now) {
         active_plans_[plan.vehicle] = plan;
       }
     }
-    for (VehicleId revoked : block.revoked) confirmed_suspects_.insert(revoked);
+    for (VehicleId revoked : block->revoked) confirmed_suspects_.insert(revoked);
   }
   prune_exited_plans(now);
   // Scheduler reservations for the recovered plans were also lost; re-commit
@@ -197,24 +197,23 @@ void ImNode::publish_block(std::vector<aim::TravelPlan> plans, bool count_timing
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<VehicleId> revoked(confirmed_suspects_.begin(),
                                  confirmed_suspects_.end());
-  chain::Block block = chain::Block::package(seq_, prev_hash_, now, std::move(plans),
-                                             *ctx_.signer, std::move(revoked));
+  chain::BlockPtr block = chain::Block::package(seq_, prev_hash_, now, std::move(plans),
+                                                *ctx_.signer, std::move(revoked));
   const double package_us = elapsed_us(t0);
   if (count_timing) ctx_.metrics->im_package_us.push_back(package_us);
   if (ctx_.tracer != nullptr && util::trace::tracing_active()) {
     ctx_.tracer->complete("chain", "package", now, now, package_us, "plans",
                           plan_count);
   }
-  prev_hash_ = block.hash();
+  prev_hash_ = block->hash();
   ++seq_;
   ctx_.metrics->blocks_published++;
 
-  recent_blocks_.push_back(block);
-  while (recent_blocks_.size() > 128) recent_blocks_.pop_front();
+  recent_blocks_.append_unchecked(block);
 
   set_state(ImState::kDissemination);
   auto msg = std::make_shared<BlockBroadcast>();
-  msg->block = std::make_shared<chain::Block>(std::move(block));
+  msg->block = std::move(block);
   ctx_.network->broadcast(node_id(), std::move(msg));
 }
 
@@ -441,14 +440,11 @@ void ImNode::handle_plan_request(const PlanRequest& req) {
   // Duplicate request: the vehicle lost our block. Re-send the block that
   // carries its plan instead of double-scheduling it.
   if (active_plans_.contains(req.vehicle)) {
-    for (auto it = recent_blocks_.rbegin(); it != recent_blocks_.rend(); ++it) {
-      if (it->plan_for(req.vehicle) != nullptr) {
-        auto resp = std::make_shared<BlockResponse>();
-        resp->plan_of = req.vehicle;
-        resp->block = std::make_shared<chain::Block>(*it);
-        ctx_.network->unicast(node_id(), vehicle_node(req.vehicle), std::move(resp));
-        return;
-      }
+    if (chain::BlockPtr block = recent_blocks_.block_with_plan(req.vehicle)) {
+      auto resp = std::make_shared<BlockResponse>();
+      resp->plan_of = req.vehicle;
+      resp->block = std::move(block);
+      ctx_.network->unicast(node_id(), vehicle_node(req.vehicle), std::move(resp));
     }
     return;
   }
@@ -459,17 +455,12 @@ void ImNode::handle_plan_request(const PlanRequest& req) {
 }
 
 void ImNode::handle_block_request(const BlockRequest& req, NodeId from) {
-  const chain::Block* found = nullptr;
-  for (auto it = recent_blocks_.rbegin(); it != recent_blocks_.rend(); ++it) {
-    if (req.by_seq ? (it->seq == req.seq) : (it->plan_for(req.plan_of) != nullptr)) {
-      found = &*it;
-      break;
-    }
-  }
+  chain::BlockPtr found = req.by_seq ? recent_blocks_.by_seq(req.seq)
+                                     : recent_blocks_.block_with_plan(req.plan_of);
   if (found == nullptr) return;
   auto resp = std::make_shared<BlockResponse>();
   resp->plan_of = req.plan_of;
-  resp->block = std::make_shared<chain::Block>(*found);
+  resp->block = std::move(found);
   ctx_.network->unicast(node_id(), from, std::move(resp));
 }
 
@@ -879,7 +870,7 @@ void ImNode::checkpoint_save(ByteWriter& w) const {
   w.bytes(prev_hash_);
   w.u64(seq_);
   w.u32(static_cast<std::uint32_t>(recent_blocks_.size()));
-  for (const chain::Block& b : recent_blocks_) w.bytes(b.serialize());
+  for (const chain::BlockPtr& b : recent_blocks_.blocks()) w.bytes(b->serialize());
 
   w.u32(static_cast<std::uint32_t>(rounds_.size()));
   for (const auto& [id, round] : rounds_) {
@@ -928,7 +919,7 @@ void ImNode::checkpoint_save(ByteWriter& w) const {
   }
 }
 
-bool ImNode::checkpoint_restore(ByteReader& r) {
+bool ImNode::checkpoint_restore(ByteReader& r, chain::BlockTable& blocks) {
   state_ = static_cast<ImState>(r.u8());
   const std::uint32_t n_requests = r.u32();
   if (!r.ok() || n_requests > r.remaining() / 16) return false;
@@ -954,11 +945,11 @@ bool ImNode::checkpoint_restore(ByteReader& r) {
   seq_ = r.u64();
   const std::uint32_t n_blocks = r.u32();
   if (!r.ok() || n_blocks > r.remaining()) return false;
-  recent_blocks_.clear();
+  recent_blocks_ = chain::BlockStore(recent_blocks_.max_depth());
   for (std::uint32_t i = 0; i < n_blocks; ++i) {
-    std::optional<chain::Block> b = chain::Block::deserialize(r.bytes());
-    if (!b) return false;
-    recent_blocks_.push_back(std::move(*b));
+    chain::BlockPtr b = blocks.get(r.bytes());
+    if (b == nullptr) return false;
+    recent_blocks_.append_unchecked(std::move(b));
   }
 
   const std::uint32_t n_rounds = r.u32();

@@ -15,13 +15,12 @@
 // issuing conflicting travel plans and stonewalling incident reports.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <optional>
 #include <set>
 
 #include "aim/scheduler.h"
-#include "chain/block.h"
+#include "chain/store.h"
 #include "net/clock.h"
 #include "net/network.h"
 #include "nwade/config.h"
@@ -110,6 +109,8 @@ class ImNode final : public net::Node {
   ImState state() const { return state_; }
   std::size_t active_plan_count() const { return active_plans_.size(); }
   chain::BlockSeq next_seq() const { return seq_; }
+  /// The IM's newest published blocks (the durable window it re-sends from).
+  const chain::BlockStore& block_window() const { return recent_blocks_; }
   bool is_malicious() const { return attack_.mode != ImAttackMode::kNone; }
   const aim::ReservationScheduler& scheduler() const { return scheduler_; }
   /// Number of verification rounds currently awaiting a tally deadline.
@@ -140,8 +141,10 @@ class ImNode final : public net::Node {
   /// Restores onto a node constructed in resume mode (start() not called;
   /// its sequence number burned by the caller). Re-schedules the window
   /// event and each round's tally deadline at their original (when, seq)
-  /// positions. Returns false on malformed input.
-  bool checkpoint_restore(ByteReader& r);
+  /// positions. The block window's blocks come from `blocks`, shared with
+  /// every other holder restored through it. Returns false on malformed
+  /// input.
+  bool checkpoint_restore(ByteReader& r, chain::BlockTable& blocks);
 
  private:
   struct VerificationRound {
@@ -215,7 +218,9 @@ class ImNode final : public net::Node {
   std::map<VehicleId, aim::TravelPlan> active_plans_;
   crypto::Digest prev_hash_{};
   chain::BlockSeq seq_{0};
-  std::deque<chain::Block> recent_blocks_;
+  /// The IM's own blocks, newest 128 (filled unchecked: it never verifies
+  /// what it signed).
+  chain::BlockStore recent_blocks_{128};
 
   std::map<std::uint64_t, VerificationRound> rounds_;
   std::map<VehicleId, std::uint64_t> round_by_suspect_;

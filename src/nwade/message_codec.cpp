@@ -21,16 +21,14 @@ enum class Tag : std::uint8_t {
   kBlacklistGossip = 10,
 };
 
-void encode_block(ByteWriter& w, const std::shared_ptr<const chain::Block>& b) {
+void encode_block(ByteWriter& w, const chain::BlockPtr& b) {
   w.bytes(b != nullptr ? b->serialize() : Bytes{});
 }
 
-std::shared_ptr<const chain::Block> decode_block(ByteReader& r) {
+chain::BlockPtr decode_block(ByteReader& r, chain::BlockTable& blocks) {
   const Bytes raw = r.bytes();
   if (!r.ok() || raw.empty()) return nullptr;
-  std::optional<chain::Block> b = chain::Block::deserialize(raw);
-  if (!b) return nullptr;
-  return std::make_shared<const chain::Block>(std::move(*b));
+  return blocks.get(raw);
 }
 
 }  // namespace
@@ -117,7 +115,7 @@ void encode_message(ByteWriter& w, const net::Message& msg) {
   }
 }
 
-net::MessagePtr decode_message(ByteReader& r) {
+net::MessagePtr decode_message(ByteReader& r, chain::BlockTable& blocks) {
   const std::uint8_t tag = r.u8();
   if (!r.ok()) return nullptr;
   switch (static_cast<Tag>(tag)) {
@@ -131,7 +129,7 @@ net::MessagePtr decode_message(ByteReader& r) {
     }
     case Tag::kBlockBroadcast: {
       auto m = std::make_shared<BlockBroadcast>();
-      m->block = decode_block(r);
+      m->block = decode_block(r, blocks);
       return r.ok() && m->block != nullptr ? m : nullptr;
     }
     case Tag::kBlockRequest: {
@@ -145,7 +143,7 @@ net::MessagePtr decode_message(ByteReader& r) {
     case Tag::kBlockResponse: {
       auto m = std::make_shared<BlockResponse>();
       m->plan_of = VehicleId{r.u64()};
-      m->block = decode_block(r);
+      m->block = decode_block(r, blocks);
       return r.ok() && m->block != nullptr ? m : nullptr;
     }
     case Tag::kIncidentReport: {

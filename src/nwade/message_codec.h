@@ -8,6 +8,7 @@
 // VehicleStatus / Block serializers so the bytes stay canonical.
 #pragma once
 
+#include "chain/store.h"
 #include "net/network.h"
 #include "nwade/messages.h"
 
@@ -20,8 +21,9 @@ void encode_message(ByteWriter& w, const net::Message& msg);
 
 /// Decodes one message previously written by encode_message. Returns nullptr
 /// on truncated, corrupt, or unknown-tag input (the reader's error flag is
-/// also set for truncation).
-net::MessagePtr decode_message(ByteReader& r);
+/// also set for truncation). Blocks are taken from `blocks`, so in-flight
+/// messages share the objects the restored stores hold.
+net::MessagePtr decode_message(ByteReader& r, chain::BlockTable& blocks);
 
 /// Evidence is embedded in several messages; exposed for the protocol-state
 /// serializers that store raw Evidence values.

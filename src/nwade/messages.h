@@ -28,20 +28,12 @@ struct PlanRequest final : net::Message {
 };
 
 /// IM -> all: a newly packaged block of travel plans. One message object
-/// (and one underlying Block) is shared across every receiver's envelope:
-/// the block serializes once and all per-delivery wire-size queries (the
-/// net layer asks per delivered copy for stats accounting) reuse the size.
+/// (and one underlying Block) is shared across every receiver's envelope.
 struct BlockBroadcast final : net::Message {
-  std::shared_ptr<const chain::Block> block;
+  chain::BlockPtr block;
 
   std::string kind() const override { return "block_broadcast"; }
-  std::size_t wire_size() const override {
-    if (wire_size_cache_ == 0) wire_size_cache_ = block ? block->wire_size() : 0;
-    return wire_size_cache_;
-  }
-
- private:
-  mutable std::size_t wire_size_cache_{0};
+  std::size_t wire_size() const override { return block ? block->wire_size() : 0; }
 };
 
 /// Vehicle -> peers/IM: ask for the block containing a vehicle's plan (used
@@ -56,21 +48,16 @@ struct BlockRequest final : net::Message {
   std::size_t wire_size() const override { return 32; }
 };
 
-/// Peer -> vehicle: a block answering a BlockRequest.
+/// Peer -> vehicle: a block answering a BlockRequest (the pointer the
+/// sender holds, not a copy).
 struct BlockResponse final : net::Message {
   VehicleId plan_of;
-  std::shared_ptr<const chain::Block> block;
+  chain::BlockPtr block;
 
   std::string kind() const override { return "block_response"; }
   std::size_t wire_size() const override {
-    if (wire_size_cache_ == 0) {
-      wire_size_cache_ = 16 + (block ? block->wire_size() : 0);
-    }
-    return wire_size_cache_;
+    return 16 + (block ? block->wire_size() : 0);
   }
-
- private:
-  mutable std::size_t wire_size_cache_{0};
 };
 
 /// Observed evidence about a suspect: the paper's E_dagger.

@@ -638,7 +638,7 @@ void VehicleNode::on_message(const net::Envelope& env) {
   if (state_ == VehicleState::kExited) return;
   const Tick now = ctx_.clock->now();
   if (const auto* bb = dynamic_cast<const BlockBroadcast*>(env.msg.get())) {
-    if (bb->block) handle_block(*bb->block, now);
+    if (bb->block) handle_block(bb->block, now);
   } else if (const auto* br = dynamic_cast<const BlockRequest*>(env.msg.get())) {
     handle_block_request(*br, env.from);
   } else if (const auto* resp = dynamic_cast<const BlockResponse*>(env.msg.get())) {
@@ -656,15 +656,19 @@ void VehicleNode::on_message(const net::Envelope& env) {
 
 // --- Algorithm 1: block verification ----------------------------------------------
 
-bool VehicleNode::verify_block(const chain::Block& block, Tick now, std::string* why) {
-  // (i), (iii): signature, Merkle root, linkage — structural checks.
+bool VehicleNode::verify_block(const chain::BlockPtr& block, Tick now,
+                               std::string* why) {
+  // (i), (iii): signature, Merkle root, linkage — structural checks. A
+  // different block under a seq the store still holds fails as equivocation.
   const auto appended = store_.append(block, *ctx_.im_verifier);
   if (!appended) {
     switch (appended.error()) {
       case chain::ChainError::kNonMonotonicSeq: {
         const auto* latest = store_.latest();
-        if (latest != nullptr && block.seq <= latest->seq) {
-          return true;  // duplicate / reordered replay; harmless
+        if (latest != nullptr && block->seq <= latest->seq) {
+          // The cached block itself replayed, or a seq already evicted (see
+          // docs/FAULT_MODEL.md): harmless.
+          return true;
         }
         // A gap: this vehicle missed blocks (burst loss, jitter reordering,
         // or joining mid-stream). Fetch the missed blocks from the IM — one
@@ -672,7 +676,7 @@ bool VehicleNode::verify_block(const chain::Block& block, Tick now, std::string*
         // block. Peers answer by-seq BlockRequests too, so gap recovery also
         // works while the IM is dark (handle_block_request).
         const auto missing = store_.missing_before(
-            block.seq, static_cast<std::size_t>(ctx_.config->gap_request_limit));
+            block->seq, static_cast<std::size_t>(ctx_.config->gap_request_limit));
         for (chain::BlockSeq seq : missing) {
           auto req = std::make_shared<BlockRequest>();
           req->requester = id_;
@@ -699,35 +703,25 @@ bool VehicleNode::verify_block(const chain::Block& block, Tick now, std::string*
 
   // (ii), (iv): the plans themselves must be mutually conflict-free, both
   // within this block and against the cached chain (latest plan per vehicle).
-  std::map<VehicleId, const aim::TravelPlan*> latest_plans;
-  for (auto it = store_.blocks().rbegin(); it != store_.blocks().rend(); ++it) {
-    for (const aim::TravelPlan& p : it->plans()) {
-      latest_plans.try_emplace(p.vehicle, &p);
-    }
-  }
-  std::vector<const aim::TravelPlan*> plans;
-  plans.reserve(latest_plans.size());
-  for (const auto& [vid, p] : latest_plans) {
+  std::vector<const aim::TravelPlan*> plans = store_.latest_plans();
+  std::erase_if(plans, [&](const aim::TravelPlan* p) {
     // Confirmed threats and announced self-evacuees no longer follow their
     // chain plans; those plans are void, not conflicting.
-    if (confirmed_threats_.contains(vid)) continue;
-    if (self_evac_announced_.contains(vid)) continue;
+    if (confirmed_threats_.contains(p->vehicle)) return true;
+    if (self_evac_announced_.contains(p->vehicle)) return true;
     // Evacuation plans are emergency stop/slow-down profiles issued without
     // fresh reservations; they are integrity-checked but exempt from the
     // conflict check (on-board collision avoidance governs during emergencies).
-    if (p->evacuation) continue;
+    if (p->evacuation) return true;
     // Virtual legacy-vehicle predictions are best-effort, not scheduling.
-    if (p->unmanaged) continue;
+    if (p->unmanaged) return true;
     // Plans that start inside the core (recovery plans for vehicles that were
     // physically mid-crossing) are grandfathered: their occupancy is present
     // fact, not a scheduling decision. A malicious IM forging "mid-core"
     // positions is caught by the neighbourhood watch instead.
-    if (p->segments.empty() ||
-        p->segments.front().s0 >= ctx_.intersection->route(p->route_id).core_begin) {
-      continue;
-    }
-    plans.push_back(p);
-  }
+    return p->segments.empty() ||
+           p->segments.front().s0 >= ctx_.intersection->route(p->route_id).core_begin;
+  });
   const auto conflicts =
       aim::find_plan_conflicts(*ctx_.intersection, plans,
                                ctx_.config->plan_check_margin_ms);
@@ -739,7 +733,8 @@ bool VehicleNode::verify_block(const chain::Block& block, Tick now, std::string*
   return true;
 }
 
-void VehicleNode::handle_block(const chain::Block& block, Tick now) {
+void VehicleNode::handle_block(const chain::BlockPtr& block_ptr, Tick now) {
+  const chain::Block& block = *block_ptr;
   // Any block receipt proves the IM is up (liveness only — a block never
   // grants a plan before it passes verification below).
   last_block_seen_at_ = now;
@@ -764,7 +759,7 @@ void VehicleNode::handle_block(const chain::Block& block, Tick now) {
   if (prev != VehicleState::kPreparation) set_state(VehicleState::kBlockVerification);
   const auto t0 = std::chrono::steady_clock::now();
   std::string why;
-  const bool ok = verify_block(block, now, &why);
+  const bool ok = verify_block(block_ptr, now, &why);
   const double verify_us = elapsed_us(t0);
   ctx_.metrics->vehicle_verify_us.push_back(verify_us);
   if (ctx_.tracer != nullptr && util::trace::tracing_active()) {
@@ -773,16 +768,7 @@ void VehicleNode::handle_block(const chain::Block& block, Tick now) {
   }
 
   if (!ok) {
-    if (std::getenv("NWADE_DEBUG_VEHICLE")) {
-      std::fprintf(stderr, "VERIFY-FAIL t=%lld vehicle=%llu block=%llu why=%s\n",
-                   (long long)now, (unsigned long long)id_.value,
-                   (unsigned long long)block.seq, why.c_str());
-    }
-    ctx_.metrics->block_verification_failures++;
-    if (!ctx_.metrics->im_conflict_detected) ctx_.metrics->im_conflict_detected = now;
-    NWADE_LOG(kInfo) << "vehicle " << id_.value << " rejected block " << block.seq
-                     << " (" << why << ")";
-    enter_self_evacuation(GlobalReason::kConflictingPlans, VehicleId{}, now);
+    reject_block(block.seq, why, now);
     return;
   }
   set_state(prev);
@@ -812,22 +798,26 @@ void VehicleNode::handle_block(const chain::Block& block, Tick now) {
   }
 }
 
-void VehicleNode::handle_block_request(const BlockRequest& req, NodeId from) {
-  const chain::Block* found = nullptr;
-  if (req.by_seq) {
-    found = store_.by_seq(req.seq);
-  } else {
-    for (auto it = store_.blocks().rbegin(); it != store_.blocks().rend(); ++it) {
-      if (it->plan_for(req.plan_of) != nullptr) {
-        found = &*it;
-        break;
-      }
-    }
+void VehicleNode::reject_block(chain::BlockSeq seq, const std::string& why, Tick now) {
+  if (std::getenv("NWADE_DEBUG_VEHICLE")) {
+    std::fprintf(stderr, "VERIFY-FAIL t=%lld vehicle=%llu block=%llu why=%s\n",
+                 (long long)now, (unsigned long long)id_.value,
+                 (unsigned long long)seq, why.c_str());
   }
+  ctx_.metrics->block_verification_failures++;
+  if (!ctx_.metrics->im_conflict_detected) ctx_.metrics->im_conflict_detected = now;
+  NWADE_LOG(kInfo) << "vehicle " << id_.value << " rejected block " << seq << " ("
+                   << why << ")";
+  enter_self_evacuation(GlobalReason::kConflictingPlans, VehicleId{}, now);
+}
+
+void VehicleNode::handle_block_request(const BlockRequest& req, NodeId from) {
+  chain::BlockPtr found = req.by_seq ? store_.by_seq(req.seq)
+                                     : store_.block_with_plan(req.plan_of);
   if (found == nullptr) return;
   auto resp = std::make_shared<BlockResponse>();
   resp->plan_of = req.plan_of;
-  resp->block = std::make_shared<chain::Block>(*found);
+  resp->block = std::move(found);
   ctx_.network->unicast(node_id(), from, std::move(resp));
 }
 
@@ -837,6 +827,16 @@ void VehicleNode::handle_block_response(const BlockResponse& resp, Tick now) {
   // verify it standalone and harvest plans from it.
   if (!resp.block->verify_signature(*ctx_.im_verifier)) return;
   if (!resp.block->verify_merkle()) return;
+  // Signed by the IM, yet not the block we cache under this seq: the IM
+  // equivocated, whether the response was requested or not.
+  const chain::BlockPtr cached = store_.by_seq(resp.block->seq);
+  if (cached != nullptr && cached->hash() != resp.block->hash()) {
+    if (state_ != VehicleState::kSelfEvacuation) {
+      reject_block(resp.block->seq, chain_error_name(chain::ChainError::kEquivocation),
+                   now);
+    }
+    return;
+  }
 
   // A pending conflicting-plans claim about this block?
   if (pending_conflict_claims_.contains(resp.block->seq)) {
@@ -965,8 +965,7 @@ void VehicleNode::handle_global_report(const GlobalReport& report, Tick now) {
   set_state(VehicleState::kGlobalVerification);
   switch (report.reason) {
     case GlobalReason::kConflictingPlans: {
-      if (const chain::Block* block = store_.by_seq(report.block_seq)) {
-        (void)block;
+      if (store_.by_seq(report.block_seq) != nullptr) {
         // We verified this block when it arrived and found it clean, so the
         // report is false: notify the IM about the lying reporter.
         if (!ctx_.metrics->false_global_detected &&
@@ -1270,7 +1269,7 @@ void VehicleNode::checkpoint_save(ByteWriter& w) const {
   w.i64(sensed_neighbours_);
 }
 
-bool VehicleNode::checkpoint_restore(ByteReader& r) {
+bool VehicleNode::checkpoint_restore(ByteReader& r, chain::BlockTable& blocks) {
   const std::uint8_t state = r.u8();
   if (!r.ok() || state > static_cast<std::uint8_t>(VehicleState::kExited)) {
     return false;
@@ -1279,7 +1278,7 @@ bool VehicleNode::checkpoint_restore(ByteReader& r) {
   s_ = r.f64();
   v_ = r.f64();
   lateral_offset_ = r.f64();
-  if (!store_.checkpoint_restore(r)) return false;
+  if (!store_.checkpoint_restore(r, blocks)) return false;
   plan_.reset();
   if (r.u8() != 0 && !load_plan(r, plan_)) return false;
   extra_plans_.clear();

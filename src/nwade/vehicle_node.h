@@ -178,8 +178,9 @@ class VehicleNode final : public net::Node {
   void checkpoint_save(ByteWriter& w) const;
   /// Restores onto a freshly constructed node; start() must not be called on
   /// a restored vehicle (its spawn already happened before the checkpoint).
-  /// Returns false on malformed input.
-  bool checkpoint_restore(ByteReader& r);
+  /// The store's blocks come from `blocks`, shared with every other holder
+  /// restored through it. Returns false on malformed input.
+  bool checkpoint_restore(ByteReader& r, chain::BlockTable& blocks);
 
  private:
   /// Records an instant on the detection timeline, tagged with this
@@ -187,7 +188,7 @@ class VehicleNode final : public net::Node {
   void trace_instant(const char* cat, const char* name, Tick now) const;
 
   // Message handlers.
-  void handle_block(const chain::Block& block, Tick now);
+  void handle_block(const chain::BlockPtr& block, Tick now);
   void handle_block_request(const BlockRequest& req, NodeId from);
   void handle_block_response(const BlockResponse& resp, Tick now);
   void handle_verify_request(const VerifyRequest& req, Tick now);
@@ -196,7 +197,9 @@ class VehicleNode final : public net::Node {
   void handle_global_report(const GlobalReport& report, Tick now);
 
   // Algorithm 1 (full block verification) — returns false on any failure.
-  bool verify_block(const chain::Block& block, Tick now, std::string* why);
+  bool verify_block(const chain::BlockPtr& block, Tick now, std::string* why);
+  /// A block failed verification: the IM is compromised, so self-evacuate.
+  void reject_block(chain::BlockSeq seq, const std::string& why, Tick now);
 
   // Algorithm 2 helpers.
   const aim::TravelPlan* lookup_plan(VehicleId vehicle) const;

@@ -763,17 +763,21 @@ bool World::apply_checkpoint(const std::map<std::string, Bytes>& sections,
       return fail("malformed metrics section");
     }
   }
+  // One Block per distinct block across the network, the IM window and
+  // every vehicle store, as in a running world.
+  chain::BlockTable blocks;
   {
     ByteReader r(*network_s);
     if (!network_->checkpoint_restore(
-            r, [](ByteReader& rr) { return protocol::decode_message(rr); }) ||
+            r,
+            [&blocks](ByteReader& rr) { return protocol::decode_message(rr, blocks); }) ||
         !r.at_end()) {
       return fail("malformed network section");
     }
   }
   {
     ByteReader r(*im_s);
-    if (!im_->checkpoint_restore(r) || !r.at_end()) {
+    if (!im_->checkpoint_restore(r, blocks) || !r.at_end()) {
       return fail("malformed im section");
     }
   }
@@ -838,7 +842,7 @@ bool World::apply_checkpoint(const std::map<std::string, Bytes>& sections,
           vehicle_context(), rec.id, rec.route_id, rec.traits, rec.spawn_time,
           rec.profile);
       ByteReader nr(rec.node_blob);
-      if (!node->checkpoint_restore(nr) || !nr.at_end()) {
+      if (!node->checkpoint_restore(nr, blocks) || !nr.at_end()) {
         return fail("malformed vehicles section");
       }
       // Exited vehicles were removed from the network when they left; their

@@ -612,13 +612,12 @@ std::size_t World::step_gap_audit(Tick now) {
 void World::prefetch_block_signatures(Tick until) {
   sig_batch_.clear();
   batch_keys_.clear();
-  batch_payloads_.clear();
-  batch_sigs_.clear();
+  batch_blocks_.clear();
   batch_seen_.clear();
   const crypto::Digest* fp = im_verifier_->key_fingerprint();
   // Collect the distinct, not-yet-cached signatures among the block
   // deliveries due this step. The pending set is stable until the event
-  // queue runs, so the Bytes the spans point into cannot move.
+  // queue runs, so the blocks it holds stay alive.
   network_->for_each_pending_due(until, [&](const net::Envelope& env) {
     const chain::Block* block = nullptr;
     if (const auto* bb =
@@ -629,14 +628,12 @@ void World::prefetch_block_signatures(Tick until) {
       block = br->block.get();
     }
     if (block == nullptr || block->signature.empty()) return;
-    Bytes payload = block->signed_payload();
-    const crypto::Digest key =
-        crypto::SigVerifyCache::key_of(*fp, payload, block->signature);
+    const crypto::Digest key = crypto::SigVerifyCache::key_of(
+        *fp, block->signed_payload(), block->signature);
     if (!batch_seen_.insert(key).second) return;      // duplicate this wave
     if (verify_cache_.peek(key).has_value()) return;  // cached (stats-free probe)
     batch_keys_.push_back(key);
-    batch_payloads_.push_back(std::move(payload));
-    batch_sigs_.push_back(&block->signature);
+    batch_blocks_.push_back(block);
   });
   if (batch_keys_.empty()) return;
   batch_ok_.assign(batch_keys_.size(), 0);
@@ -644,8 +641,9 @@ void World::prefetch_block_signatures(Tick until) {
   step_pool_.parallel_for(
       batch_keys_.size(), 1, [&](std::size_t begin, std::size_t end) {
         for (std::size_t k = begin; k < end; ++k) {
+          const chain::Block& block = *batch_blocks_[k];
           batch_ok_[k] =
-              im_verifier_->verify_uncached(batch_payloads_[k], *batch_sigs_[k])
+              im_verifier_->verify_uncached(block.signed_payload(), block.signature)
                   ? 1
                   : 0;
         }

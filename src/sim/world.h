@@ -357,8 +357,7 @@ class World final : public protocol::SensorProvider {
   std::vector<int> audit_partials_;
   // Batch-verify collection scratch (prefetch_block_signatures).
   std::vector<crypto::Digest> batch_keys_;
-  std::vector<Bytes> batch_payloads_;
-  std::vector<const Bytes*> batch_sigs_;
+  std::vector<const chain::Block*> batch_blocks_;
   std::vector<std::uint8_t> batch_ok_;
   std::unordered_set<crypto::Digest, crypto::DigestKeyHash> batch_seen_;
   StepAllocCounts last_step_allocs_;

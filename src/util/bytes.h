@@ -21,11 +21,6 @@ class ByteWriter {
  public:
   ByteWriter() = default;
 
-  /// Adopts `buf` as the backing store, cleared but keeping its capacity.
-  /// Pairs with take() to recycle one buffer across serializations instead
-  /// of growing a fresh vector each time.
-  explicit ByteWriter(Bytes buf) : buf_(std::move(buf)) { buf_.clear(); }
-
   /// Pre-sizes the buffer for a known wire size so appends never reallocate.
   void reserve(std::size_t n) { buf_.reserve(n); }
 

@@ -1,8 +1,11 @@
 // Block packaging and verification: signatures, Merkle roots, serialization,
 // and every tamper path a compromised IM could attempt on a single block.
+// Tampered blocks are forged by editing a fields() copy and rebuilding.
 #include "chain/block.h"
 
 #include <gtest/gtest.h>
+
+#include <type_traits>
 
 namespace nwade::chain {
 namespace {
@@ -22,7 +25,7 @@ class BlockTest : public ::testing::Test {
  protected:
   BlockTest() : signer_(Bytes{'k', 'e', 'y'}) {}
 
-  Block make_block(BlockSeq seq, const crypto::Digest& prev, int n_plans) {
+  BlockPtr make_block(BlockSeq seq, const crypto::Digest& prev, int n_plans) {
     std::vector<aim::TravelPlan> plans;
     for (int i = 0; i < n_plans; ++i) {
       plans.push_back(plan_for(seq * 100 + static_cast<std::uint64_t>(i) + 1, 1000));
@@ -34,109 +37,138 @@ class BlockTest : public ::testing::Test {
   crypto::HmacSigner signer_;
 };
 
+// A deep copy cannot creep back in: every holder shares one BlockPtr.
+static_assert(!std::is_copy_constructible_v<Block>);
+static_assert(!std::is_copy_assignable_v<Block>);
+
 TEST_F(BlockTest, PackageProducesValidBlock) {
-  const Block b = make_block(0, {}, 5);
-  EXPECT_TRUE(b.verify_signature(*signer_.verifier()));
-  EXPECT_TRUE(b.verify_merkle());
-  EXPECT_EQ(b.plans().size(), 5u);
+  const BlockPtr b = make_block(0, {}, 5);
+  EXPECT_TRUE(b->verify_signature(*signer_.verifier()));
+  EXPECT_TRUE(b->verify_merkle());
+  EXPECT_EQ(b->plans().size(), 5u);
 }
 
 TEST_F(BlockTest, EmptyBlockIsValid) {
-  const Block b = make_block(0, {}, 0);
-  EXPECT_TRUE(b.verify_signature(*signer_.verifier()));
-  EXPECT_TRUE(b.verify_merkle());
+  const BlockPtr b = make_block(0, {}, 0);
+  EXPECT_TRUE(b->verify_signature(*signer_.verifier()));
+  EXPECT_TRUE(b->verify_merkle());
+}
+
+TEST_F(BlockTest, FieldsRebuildAnIdenticalBlock) {
+  const BlockPtr b = make_block(1, crypto::sha256("prev"), 3);
+  const Block copy(b->fields());
+  EXPECT_EQ(copy.hash(), b->hash());
+  EXPECT_EQ(copy.serialize(), b->serialize());
+  EXPECT_TRUE(copy.verify_signature(*signer_.verifier()));
+  EXPECT_TRUE(copy.verify_merkle());
 }
 
 TEST_F(BlockTest, TamperedPlanBreaksMerkle) {
-  Block b = make_block(0, {}, 4);
-  b.mutable_plans()[2].segments[0].v_mps = 99.0;  // forged instruction
+  BlockFields f = make_block(0, {}, 4)->fields();
+  f.plans[2].segments[0].v_mps = 99.0;  // forged instruction
+  const Block b(std::move(f));
   EXPECT_FALSE(b.verify_merkle());
   EXPECT_TRUE(b.verify_signature(*signer_.verifier()));  // header untouched
 }
 
 TEST_F(BlockTest, SwappedPlansBreakMerkle) {
-  Block b = make_block(0, {}, 4);
-  { auto& ps = b.mutable_plans(); std::swap(ps[0], ps[1]); };
+  BlockFields f = make_block(0, {}, 4)->fields();
+  std::swap(f.plans[0], f.plans[1]);
+  const Block b(std::move(f));
   EXPECT_FALSE(b.verify_merkle());
 }
 
 TEST_F(BlockTest, TamperedRootBreaksSignature) {
-  Block b = make_block(0, {}, 4);
-  b.merkle_root[0] ^= 1;
+  BlockFields f = make_block(0, {}, 4)->fields();
+  f.merkle_root[0] ^= 1;
+  const Block b(std::move(f));
   EXPECT_FALSE(b.verify_signature(*signer_.verifier()));
 }
 
 TEST_F(BlockTest, TamperedTimestampBreaksSignature) {
-  Block b = make_block(0, {}, 2);
-  b.timestamp += 1;
+  BlockFields f = make_block(0, {}, 2)->fields();
+  f.timestamp += 1;
+  const Block b(std::move(f));
   EXPECT_FALSE(b.verify_signature(*signer_.verifier()));
 }
 
 TEST_F(BlockTest, TamperedPrevHashBreaksSignature) {
-  Block b = make_block(1, crypto::sha256("genesis"), 2);
-  b.prev_hash[5] ^= 0x10;
+  BlockFields f = make_block(1, crypto::sha256("genesis"), 2)->fields();
+  f.prev_hash[5] ^= 0x10;
+  const Block b(std::move(f));
   EXPECT_FALSE(b.verify_signature(*signer_.verifier()));
 }
 
 TEST_F(BlockTest, ForeignSignerRejected) {
-  const Block b = make_block(0, {}, 3);
+  const BlockPtr b = make_block(0, {}, 3);
   crypto::HmacSigner other(Bytes{'e', 'v', 'i', 'l'});
-  EXPECT_FALSE(b.verify_signature(*other.verifier()));
+  EXPECT_FALSE(b->verify_signature(*other.verifier()));
 }
 
 TEST_F(BlockTest, HashChainsOnContent) {
-  const Block a = make_block(0, {}, 3);
-  Block b = a;
-  b.timestamp++;
-  EXPECT_NE(a.hash(), b.hash());
+  const BlockPtr a = make_block(0, {}, 3);
+  BlockFields f = a->fields();
+  f.timestamp++;
+  const Block b(std::move(f));
+  EXPECT_NE(a->hash(), b.hash());
 }
 
 TEST_F(BlockTest, PlanLookup) {
-  const Block b = make_block(2, {}, 4);
-  ASSERT_NE(b.plan_for(VehicleId{201}), nullptr);
-  EXPECT_EQ(b.plan_for(VehicleId{201})->vehicle, VehicleId{201});
-  EXPECT_EQ(b.plan_for(VehicleId{9999}), nullptr);
+  const BlockPtr b = make_block(2, {}, 4);
+  ASSERT_NE(b->plan_for(VehicleId{201}), nullptr);
+  EXPECT_EQ(b->plan_for(VehicleId{201})->vehicle, VehicleId{201});
+  EXPECT_EQ(b->plan_for(VehicleId{9999}), nullptr);
 }
 
 TEST_F(BlockTest, MerkleProofForPlan) {
-  const Block b = make_block(0, {}, 7);
-  for (std::size_t i = 0; i < b.plans().size(); ++i) {
-    const auto proof = b.prove_plan(i);
+  const BlockPtr b = make_block(0, {}, 7);
+  for (std::size_t i = 0; i < b->plans().size(); ++i) {
+    const auto proof = b->prove_plan(i);
     EXPECT_TRUE(
-        crypto::MerkleTree::verify(b.plans()[i].serialize(), proof, b.merkle_root));
+        crypto::MerkleTree::verify(b->plans()[i].serialize(), proof, b->merkle_root));
   }
   // Proof does not validate a different plan.
-  const auto proof0 = b.prove_plan(0);
+  const auto proof0 = b->prove_plan(0);
   EXPECT_FALSE(
-      crypto::MerkleTree::verify(b.plans()[1].serialize(), proof0, b.merkle_root));
+      crypto::MerkleTree::verify(b->plans()[1].serialize(), proof0, b->merkle_root));
 }
 
 TEST_F(BlockTest, SerializationRoundTrip) {
-  const Block b = make_block(3, crypto::sha256("prev"), 6);
-  const auto back = Block::deserialize(b.serialize());
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->seq, b.seq);
-  EXPECT_EQ(back->signature, b.signature);
-  EXPECT_EQ(back->prev_hash, b.prev_hash);
-  EXPECT_EQ(back->merkle_root, b.merkle_root);
-  EXPECT_EQ(back->timestamp, b.timestamp);
-  ASSERT_EQ(back->plans().size(), b.plans().size());
+  const BlockPtr b = make_block(3, crypto::sha256("prev"), 6);
+  const BlockPtr back = Block::deserialize(b->serialize());
+  ASSERT_NE(back, nullptr);
+  EXPECT_EQ(back->seq, b->seq);
+  EXPECT_EQ(back->signature, b->signature);
+  EXPECT_EQ(back->prev_hash, b->prev_hash);
+  EXPECT_EQ(back->merkle_root, b->merkle_root);
+  EXPECT_EQ(back->timestamp, b->timestamp);
+  ASSERT_EQ(back->plans().size(), b->plans().size());
   EXPECT_TRUE(back->verify_signature(*signer_.verifier()));
   EXPECT_TRUE(back->verify_merkle());
-  EXPECT_EQ(back->hash(), b.hash());
+  EXPECT_EQ(back->hash(), b->hash());
 }
 
 TEST_F(BlockTest, DeserializeRejectsTruncation) {
-  const Block b = make_block(0, {}, 3);
-  Bytes bytes = b.serialize();
+  const BlockPtr b = make_block(0, {}, 3);
+  Bytes bytes = b->serialize();
   for (std::size_t cut : {bytes.size() - 1, bytes.size() / 2, std::size_t{3}}) {
     Bytes truncated(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(cut));
-    EXPECT_FALSE(Block::deserialize(truncated).has_value()) << "cut " << cut;
+    EXPECT_EQ(Block::deserialize(truncated), nullptr) << "cut " << cut;
   }
 }
 
 TEST_F(BlockTest, WireSizeGrowsWithPlans) {
-  EXPECT_LT(make_block(0, {}, 1).wire_size(), make_block(0, {}, 20).wire_size());
+  EXPECT_LT(make_block(0, {}, 1)->wire_size(), make_block(0, {}, 20)->wire_size());
+}
+
+TEST_F(BlockTest, WireSizeIsExactlyTheSerializedSize) {
+  for (const int n_plans : {0, 1, 7, 20}) {
+    const BlockPtr b = make_block(static_cast<BlockSeq>(n_plans), {}, n_plans);
+    EXPECT_EQ(b->wire_size(), b->serialize().size()) << n_plans << " plans";
+  }
+  const BlockPtr revoking =
+      Block::package(0, {}, 0, {}, signer_, {VehicleId{3}, VehicleId{4}});
+  EXPECT_EQ(revoking->wire_size(), revoking->serialize().size());
 }
 
 }  // namespace

@@ -14,10 +14,10 @@ class RevocationTest : public ::testing::Test {
 };
 
 TEST_F(RevocationTest, RoundTripsThroughSerialization) {
-  const Block b = Block::package(0, {}, 100, {}, signer_,
-                                 {VehicleId{5}, VehicleId{9}});
-  const auto back = Block::deserialize(b.serialize());
-  ASSERT_TRUE(back.has_value());
+  const BlockPtr b = Block::package(0, {}, 100, {}, signer_,
+                                    {VehicleId{5}, VehicleId{9}});
+  const BlockPtr back = Block::deserialize(b->serialize());
+  ASSERT_NE(back, nullptr);
   ASSERT_EQ(back->revoked.size(), 2u);
   EXPECT_EQ(back->revoked[0], VehicleId{5});
   EXPECT_EQ(back->revoked[1], VehicleId{9});
@@ -25,34 +25,34 @@ TEST_F(RevocationTest, RoundTripsThroughSerialization) {
 }
 
 TEST_F(RevocationTest, SignatureCoversRevocations) {
-  Block b = Block::package(0, {}, 100, {}, signer_, {VehicleId{5}});
   // Tampering with the revocation list must break the signature: otherwise a
   // compromised relay could un-revoke a threat.
-  b.revoked.clear();
-  EXPECT_FALSE(b.verify_signature(*signer_.verifier()));
-  Block b2 = Block::package(0, {}, 100, {}, signer_, {VehicleId{5}});
-  b2.revoked.push_back(VehicleId{6});
-  EXPECT_FALSE(b2.verify_signature(*signer_.verifier()));
+  BlockFields f = Block::package(0, {}, 100, {}, signer_, {VehicleId{5}})->fields();
+  f.revoked.clear();
+  EXPECT_FALSE(Block(std::move(f)).verify_signature(*signer_.verifier()));
+  BlockFields f2 = Block::package(0, {}, 100, {}, signer_, {VehicleId{5}})->fields();
+  f2.revoked.push_back(VehicleId{6});
+  EXPECT_FALSE(Block(std::move(f2)).verify_signature(*signer_.verifier()));
 }
 
 TEST_F(RevocationTest, RevocationChangesBlockHash) {
-  const Block a = Block::package(0, {}, 100, {}, signer_, {});
-  const Block b = Block::package(0, {}, 100, {}, signer_, {VehicleId{1}});
-  EXPECT_NE(a.hash(), b.hash());
+  const BlockPtr a = Block::package(0, {}, 100, {}, signer_, {});
+  const BlockPtr b = Block::package(0, {}, 100, {}, signer_, {VehicleId{1}});
+  EXPECT_NE(a->hash(), b->hash());
 }
 
 TEST_F(RevocationTest, EmptyRevocationListIsDefault) {
-  const Block b = Block::package(0, {}, 100, {}, signer_);
-  EXPECT_TRUE(b.revoked.empty());
-  EXPECT_TRUE(b.verify_signature(*signer_.verifier()));
+  const BlockPtr b = Block::package(0, {}, 100, {}, signer_);
+  EXPECT_TRUE(b->revoked.empty());
+  EXPECT_TRUE(b->verify_signature(*signer_.verifier()));
 }
 
 TEST_F(RevocationTest, StoreAcceptsChainWithRevocations) {
   BlockStore store;
-  const Block b0 = Block::package(0, {}, 100, {}, signer_, {});
+  const BlockPtr b0 = Block::package(0, {}, 100, {}, signer_, {});
   ASSERT_TRUE(store.append(b0, *signer_.verifier()));
-  const Block b1 =
-      Block::package(1, b0.hash(), 200, {}, signer_, {VehicleId{42}});
+  const BlockPtr b1 =
+      Block::package(1, b0->hash(), 200, {}, signer_, {VehicleId{42}});
   EXPECT_TRUE(store.append(b1, *signer_.verifier()));
   EXPECT_EQ(store.latest()->revoked.size(), 1u);
 }

@@ -26,8 +26,8 @@ aim::TravelPlan make_plan(std::uint64_t vehicle, Tick t) {
   return p;
 }
 
-Block make_signed_block(const crypto::Signer& signer, BlockSeq seq,
-                        const crypto::Digest& prev, int n_plans) {
+BlockPtr make_signed_block(const crypto::Signer& signer, BlockSeq seq,
+                           const crypto::Digest& prev, int n_plans) {
   std::vector<aim::TravelPlan> plans;
   for (int i = 0; i < n_plans; ++i) {
     plans.push_back(make_plan(seq * 100 + static_cast<std::uint64_t>(i) + 1,
@@ -63,7 +63,8 @@ crypto::RsaSigner* VerifyCacheChaosTest::signer_ = nullptr;
 TEST_F(VerifyCacheChaosTest, TamperedTwinRejectedAfterHonestHit) {
   auto& cache = crypto::SigVerifyCache::instance();
   const auto verifier = signer_->verifier();
-  const Block honest = make_signed_block(*signer_, 1, crypto::Digest{}, 4);
+  const BlockPtr honest_ptr = make_signed_block(*signer_, 1, crypto::Digest{}, 4);
+  const Block& honest = *honest_ptr;
 
   // Honest block: first verification misses and computes, second hits.
   EXPECT_TRUE(honest.verify_signature(*verifier));
@@ -74,8 +75,9 @@ TEST_F(VerifyCacheChaosTest, TamperedTwinRejectedAfterHonestHit) {
   // Forge a twin: same plans, same signature, one header field altered.
   // Its signed payload differs, so its cache key cannot alias the honest
   // entry — the forgery is recomputed (miss) and rejected.
-  Block forged = honest;
-  forged.timestamp += 1;
+  BlockFields f = honest.fields();
+  f.timestamp += 1;
+  const Block forged(std::move(f));
   EXPECT_FALSE(forged.verify_signature(*verifier));
   EXPECT_EQ(cache.stats().misses, 2u);
 
@@ -87,14 +89,16 @@ TEST_F(VerifyCacheChaosTest, TamperedTwinRejectedAfterHonestHit) {
 
 TEST_F(VerifyCacheChaosTest, TamperedPlansStillRejectedByMerkle) {
   const auto verifier = signer_->verifier();
-  Block forged = make_signed_block(*signer_, 2, crypto::Digest{}, 4);
-  EXPECT_TRUE(forged.verify_signature(*verifier));
-  EXPECT_TRUE(forged.verify_merkle());
-  forged.mutable_plans()[1].segments[0].v_mps = 99.0;
+  const BlockPtr honest = make_signed_block(*signer_, 2, crypto::Digest{}, 4);
+  EXPECT_TRUE(honest->verify_signature(*verifier));
+  EXPECT_TRUE(honest->verify_merkle());
+  BlockFields f = honest->fields();
+  f.plans[1].segments[0].v_mps = 99.0;
+  const auto forged = std::make_shared<const Block>(std::move(f));
   // Signature still verifies (the payload only carries the Merkle root),
   // but the recomputed tree exposes the forged instruction.
-  EXPECT_TRUE(forged.verify_signature(*verifier));
-  EXPECT_FALSE(forged.verify_merkle());
+  EXPECT_TRUE(forged->verify_signature(*verifier));
+  EXPECT_FALSE(forged->verify_merkle());
 
   BlockStore store;
   EXPECT_FALSE(store.append(forged, *verifier).has_value());
@@ -103,7 +107,7 @@ TEST_F(VerifyCacheChaosTest, TamperedPlansStillRejectedByMerkle) {
 TEST_F(VerifyCacheChaosTest, FanoutMatchesSequentialForEveryPoolSize) {
   auto& cache = crypto::SigVerifyCache::instance();
   const auto verifier_sp = signer_->verifier();
-  const Block block = make_signed_block(*signer_, 3, crypto::Digest{}, 8);
+  const BlockPtr block = make_signed_block(*signer_, 3, crypto::Digest{}, 8);
 
   // 64 receivers sharing one IM verifier (the simulator's shape).
   std::vector<const crypto::Verifier*> verifiers(64, verifier_sp.get());
@@ -112,7 +116,7 @@ TEST_F(VerifyCacheChaosTest, FanoutMatchesSequentialForEveryPoolSize) {
     cache.clear();
     cache.reset_stats();
     util::WorkerPool pool(threads);
-    const auto results = fanout_verify(block, verifiers, pool);
+    const auto results = fanout_verify(*block, verifiers, pool);
     ASSERT_EQ(results.size(), verifiers.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
       EXPECT_EQ(results[i], 1) << "receiver " << i << ", pool " << threads;
@@ -133,8 +137,9 @@ TEST_F(VerifyCacheChaosTest, FanoutMatchesSequentialForEveryPoolSize) {
 
 TEST_F(VerifyCacheChaosTest, FanoutRejectsForgeryUnderThreads) {
   const auto verifier_sp = signer_->verifier();
-  Block forged = make_signed_block(*signer_, 4, crypto::Digest{}, 4);
-  forged.seq += 1;  // breaks the signature
+  BlockFields f = make_signed_block(*signer_, 4, crypto::Digest{}, 4)->fields();
+  f.seq += 1;  // breaks the signature
+  const Block forged(std::move(f));
   std::vector<const crypto::Verifier*> verifiers(32, verifier_sp.get());
   util::WorkerPool pool(4);
   const auto results = fanout_verify(forged, verifiers, pool);

@@ -10,6 +10,7 @@
 
 #include <vector>
 
+#include "chain/block.h"
 #include "crypto/bignum.h"
 #include "crypto/rsa.h"
 #include "crypto/signer.h"
@@ -86,6 +87,24 @@ TEST(AllocGate, CacheHitRsa2048VerifyIsAllocationFree) {
 
   const std::uint64_t before = util::thread_alloc_count();
   const bool ok = verifier->verify(msg, sig);  // hit: key_of + shard lookup
+  EXPECT_EQ(util::thread_alloc_count() - before, 0u);
+  EXPECT_TRUE(ok);
+}
+
+TEST(AllocGate, CacheHitRsa2048BlockVerifySignatureIsAllocationFree) {
+  REQUIRE_COUNTING();
+  RsaSigner signer(test_key());
+  aim::TravelPlan plan;
+  plan.vehicle = VehicleId{1};
+  plan.segments = {aim::PlanSegment{0, 0.0, 12.0}};
+  const chain::BlockPtr block =
+      chain::Block::package(1, Digest{}, 1'000, {plan}, signer, {VehicleId{9}});
+  const auto verifier = signer.verifier();
+  ASSERT_TRUE(block->verify_signature(*verifier));  // miss: computes + populates
+
+  // Hit: the signed payload is read in place, never copied.
+  const std::uint64_t before = util::thread_alloc_count();
+  const bool ok = block->verify_signature(*verifier);
   EXPECT_EQ(util::thread_alloc_count() - before, 0u);
   EXPECT_TRUE(ok);
 }

@@ -47,9 +47,8 @@ TEST(Idempotency, ReplayedBlockBroadcastDoesNotRollPlanBack) {
   h.spawn(1, 0);
   h.run_until(2'000);
   ASSERT_TRUE(h.vehicle(1).has_plan());
-  const auto* first_block = h.vehicle(1).store().latest();
-  ASSERT_NE(first_block, nullptr);
-  const chain::Block replay = *first_block;
+  ASSERT_FALSE(h.vehicle(1).store().empty());
+  const chain::BlockPtr replay = h.vehicle(1).store().blocks().back();
 
   // A later window issues more blocks (another vehicle joins).
   h.spawn(2, 1);
@@ -62,7 +61,7 @@ TEST(Idempotency, ReplayedBlockBroadcastDoesNotRollPlanBack) {
   // Replay the old block at vehicle 1 several times.
   for (int i = 0; i < 3; ++i) {
     auto msg = std::make_shared<BlockBroadcast>();
-    msg->block = std::make_shared<chain::Block>(replay);
+    msg->block = replay;
     h.vehicle(1).on_message(
         envelope(kImNodeId, vehicle_node(VehicleId{1}), std::move(msg), h.now()));
   }
@@ -90,10 +89,10 @@ TEST(Idempotency, BlockSeqGapTriggersBoundedRecoveryAndResync) {
   // A block three sequence numbers ahead arrives (the two between were lost
   // in a burst). The vehicle requests exactly the missing range, then
   // resyncs its cache from the new block.
-  chain::Block future = chain::Block::package(
+  const chain::BlockPtr future = chain::Block::package(
       base_seq + 3, crypto::Digest{}, h.now(), {}, h.signer());
   auto msg = std::make_shared<BlockBroadcast>();
-  msg->block = std::make_shared<chain::Block>(future);
+  msg->block = future;
   h.vehicle(1).on_message(
       envelope(kImNodeId, vehicle_node(VehicleId{1}), std::move(msg), h.now()));
 
@@ -106,7 +105,7 @@ TEST(Idempotency, BlockSeqGapTriggersBoundedRecoveryAndResync) {
 
   // The same gap block again: now a plain duplicate, no further requests.
   auto again = std::make_shared<BlockBroadcast>();
-  again->block = std::make_shared<chain::Block>(future);
+  again->block = future;
   h.vehicle(1).on_message(
       envelope(kImNodeId, vehicle_node(VehicleId{1}), std::move(again), h.now()));
   EXPECT_EQ(h.metrics().gap_block_requests, 2);

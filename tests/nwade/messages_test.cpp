@@ -44,12 +44,11 @@ TEST(Messages, BlockBroadcastSizeTracksBlock) {
   p.vehicle = VehicleId{1};
   p.segments = {aim::PlanSegment{0, 0, 10}};
   BlockBroadcast small, large;
-  small.block = std::make_shared<chain::Block>(
-      chain::Block::package(0, {}, 0, {p}, signer));
+  small.block = chain::Block::package(0, {}, 0, {p}, signer);
   std::vector<aim::TravelPlan> many(20, p);
-  large.block = std::make_shared<chain::Block>(
-      chain::Block::package(0, {}, 0, many, signer));
+  large.block = chain::Block::package(0, {}, 0, many, signer);
   EXPECT_GT(large.wire_size(), small.wire_size());
+  EXPECT_EQ(large.wire_size(), large.block->serialize().size());
 }
 
 TEST(Names, GlobalReasons) {

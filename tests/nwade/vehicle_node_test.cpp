@@ -115,12 +115,12 @@ TEST(BlockVerification, TamperedBroadcastTriggersSelfEvacuation) {
   h.run_until(2'000);
   ASSERT_TRUE(v.has_plan());
   // Forge a block with a bad signature and hand-deliver it.
-  chain::Block forged;
+  chain::BlockFields forged;
   forged.seq = 99;
   forged.timestamp = h.now();
   forged.signature = Bytes{1, 2, 3};
   auto msg = std::make_shared<BlockBroadcast>();
-  msg->block = std::make_shared<chain::Block>(forged);
+  msg->block = std::make_shared<const chain::Block>(std::move(forged));
   net::Envelope env{kImNodeId, v.node_id(), true, h.now(), msg};
   v.on_message(env);
   EXPECT_TRUE(v.self_evacuating());
@@ -135,7 +135,7 @@ TEST(BlockVerification, DuplicateBroadcastIsHarmless) {
   ASSERT_GT(size_before, 0u);
   // Re-deliver the latest block (a rebroadcast).
   auto msg = std::make_shared<BlockBroadcast>();
-  msg->block = std::make_shared<chain::Block>(*v.store().latest());
+  msg->block = v.store().blocks().back();
   net::Envelope env{kImNodeId, v.node_id(), true, h.now(), msg};
   v.on_message(env);
   EXPECT_FALSE(v.self_evacuating());
@@ -149,15 +149,78 @@ TEST(BlockVerification, RevokedListAdoptedFromChain) {
   // Build a legitimate next block carrying a revocation.
   const chain::Block* latest = v.store().latest();
   ASSERT_NE(latest, nullptr);
-  chain::Block next = chain::Block::package(latest->seq + 1, latest->hash(),
-                                            h.now(), {}, h.signer(), {VehicleId{77}});
   auto msg = std::make_shared<BlockBroadcast>();
-  msg->block = std::make_shared<chain::Block>(next);
+  msg->block = chain::Block::package(latest->seq + 1, latest->hash(), h.now(), {},
+                                     h.signer(), {VehicleId{77}});
   v.on_message(net::Envelope{kImNodeId, v.node_id(), true, h.now(), msg});
   EXPECT_FALSE(v.self_evacuating());
   // The revocation is visible indirectly: watch will never report 77, and
   // more importantly verification accepted the signed revocation block.
   EXPECT_EQ(v.store().latest()->revoked.size(), 1u);
+}
+
+TEST(BlockVerification, EquivocatingBlockUnderCachedSeqIsRejected) {
+  // The IM signs a second, different block under the seq vehicle 1 caches,
+  // and sends it as a broadcast or as an unrequested block response.
+  for (const bool as_response : {false, true}) {
+    SCOPED_TRACE(as_response ? "BlockResponse" : "BlockBroadcast");
+    Harness h;
+    auto& v = h.spawn(1, 0);
+    h.spawn(2, 0);
+    h.run_until(3'000);
+    const chain::Block* cached = v.store().latest();
+    ASSERT_NE(cached, nullptr);
+    ASSERT_EQ(cached->seq, 0u);
+    const Tick issued = v.plan()->issued_at;
+    // A plan for vehicle 1 on vehicle 2's timing: the two would collide.
+    aim::TravelPlan stolen = *h.vehicle(2).plan();
+    stolen.vehicle = VehicleId{1};
+    stolen.issued_at = h.now();
+    ASSERT_EQ(aim::find_plan_conflicts(h.intersection(), {&stolen, h.vehicle(2).plan()},
+                                       h.config().plan_check_margin_ms)
+                  .size(),
+              1u);
+    const chain::BlockPtr twin = chain::Block::package(
+        cached->seq, cached->prev_hash, h.now(), {stolen}, h.signer());
+    net::MessagePtr msg;
+    if (as_response) {
+      auto resp = std::make_shared<BlockResponse>();
+      resp->plan_of = VehicleId{1};
+      resp->block = twin;
+      msg = resp;
+    } else {
+      auto bb = std::make_shared<BlockBroadcast>();
+      bb->block = twin;
+      msg = bb;
+    }
+    v.on_message(net::Envelope{kImNodeId, v.node_id(), true, h.now(), msg});
+    EXPECT_TRUE(v.self_evacuating());
+    EXPECT_GT(h.metrics().block_verification_failures, 0);
+    ASSERT_TRUE(v.has_plan());
+    EXPECT_EQ(v.plan()->issued_at, issued);  // the stolen plan is not adopted
+    EXPECT_EQ(v.store().latest()->seq, 0u);
+  }
+}
+
+TEST(BlockVerification, UnsignedBlockResponseUnderCachedSeqIsIgnored) {
+  // Peers answer block requests too, so a response under a cached seq that
+  // the IM did not sign proves nothing about the IM: it is dropped.
+  Harness h;
+  auto& v = h.spawn(1, 0);
+  h.run_until(3'000);
+  ASSERT_FALSE(v.store().empty());
+  ASSERT_TRUE(v.has_plan());
+  const chain::BlockPtr cached = v.store().blocks().back();
+  const Tick issued = v.plan()->issued_at;
+  chain::BlockFields forged = cached->fields();
+  forged.timestamp += 1;  // no longer matches the signature
+  auto resp = std::make_shared<BlockResponse>();
+  resp->plan_of = VehicleId{1};
+  resp->block = std::make_shared<const chain::Block>(std::move(forged));
+  v.on_message(net::Envelope{vehicle_node(VehicleId{2}), v.node_id(), true, h.now(), resp});
+  EXPECT_FALSE(v.self_evacuating());
+  EXPECT_EQ(h.metrics().block_verification_failures, 0);
+  EXPECT_EQ(v.plan()->issued_at, issued);
 }
 
 TEST(GlobalReports, FalseConflictClaimRefuted) {

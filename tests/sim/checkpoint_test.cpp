@@ -8,6 +8,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "crypto/sha256.h"
 #include "sim/checkpoint.h"
@@ -45,10 +46,10 @@ std::string finish_digest(World& world) {
     const auto& store = v->store();
     w.u64(store.size());
     for (const auto& block : store.blocks()) {
-      w.u64(block.seq);
-      w.i64(block.timestamp);
-      w.bytes(block.merkle_root);
-      for (const auto& plan : block.plans()) w.bytes(plan.serialize());
+      w.u64(block->seq);
+      w.i64(block->timestamp);
+      w.bytes(block->merkle_root);
+      for (const auto& plan : block->plans()) w.bytes(plan.serialize());
     }
   }
 
@@ -247,6 +248,48 @@ TEST(CheckpointResume, ResumeOfResumeStaysExact) {
   ASSERT_NE(second, nullptr);
   EXPECT_EQ(finish_digest(*second),
             "0e83bbd0a51d8df2b9ea6241bfb16e70f3e62c285ccd24da7b3aa131a39b0e2b");
+}
+
+// --- one Block object per block, live and restored --------------------------
+
+/// Every holder of seq k (the IM window and each vehicle store) must hold the
+/// same Block object. Returns the number of distinct blocks held.
+std::size_t expect_one_object_per_block(World& world, const std::string& where) {
+  std::map<chain::BlockSeq, const chain::Block*> by_seq;
+  const auto visit = [&](const chain::BlockStore& store, std::uint64_t holder) {
+    for (const chain::BlockPtr& b : store.blocks()) {
+      const auto it = by_seq.try_emplace(b->seq, b.get()).first;
+      EXPECT_EQ(it->second, b.get())
+          << where << ": holder " << holder << " keeps its own copy of block " << b->seq;
+    }
+  };
+  visit(world.im().block_window(), 0);
+  for (const VehicleId id : world.vehicle_ids()) visit(world.vehicle(id)->store(), id.value);
+  return by_seq.size();
+}
+
+TEST(BlockSharing, EveryHolderSharesOneBlockLiveAndRestored) {
+  std::vector<ScenarioConfig> goldens = {
+      scenario(traffic::IntersectionKind::kCross4, 80, 1),
+      scenario(traffic::IntersectionKind::kCross4, 120, 7),
+      scenario(traffic::IntersectionKind::kRoundabout3, 60, 3),
+      scenario(traffic::IntersectionKind::kCross4, 80, 5)};
+  goldens[2].legacy_fraction = 0.25;
+  goldens[3].attack = protocol::AttackSetting{"deviation", 1, false, 0, 0};
+  for (std::size_t i = 0; i < goldens.size(); ++i) {
+    const std::string where = "golden " + std::to_string(i);
+    World world(goldens[i]);
+    world.run_until(60'000);
+    const std::size_t live = expect_one_object_per_block(world, where + " live");
+    EXPECT_GT(live, 0u) << where;
+
+    const Bytes blob = world.checkpoint_save();
+    std::string error;
+    std::unique_ptr<World> restored = World::checkpoint_restore(blob, &error);
+    ASSERT_NE(restored, nullptr) << where << ": " << error;
+    EXPECT_EQ(expect_one_object_per_block(*restored, where + " restored"), live);
+    EXPECT_EQ(restored->checkpoint_save(), blob) << where;
+  }
 }
 
 // --- malformed input --------------------------------------------------------

@@ -66,7 +66,7 @@ TEST(MixedTraffic, ChainCarriesUnmanagedPlans) {
     const auto* v = world.vehicle(id);
     if (v->exited()) continue;
     for (const auto& block : v->store().blocks()) {
-      for (const auto& p : block.plans()) {
+      for (const auto& p : block->plans()) {
         if (p.unmanaged) found_unmanaged = true;
       }
     }

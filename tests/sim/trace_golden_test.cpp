@@ -49,10 +49,10 @@ std::string trace_digest(ScenarioConfig cfg) {
     const auto& store = v->store();
     w.u64(store.size());
     for (const auto& block : store.blocks()) {
-      w.u64(block.seq);
-      w.i64(block.timestamp);
-      w.bytes(block.merkle_root);
-      for (const auto& plan : block.plans()) w.bytes(plan.serialize());
+      w.u64(block->seq);
+      w.i64(block->timestamp);
+      w.bytes(block->merkle_root);
+      for (const auto& plan : block->plans()) w.bytes(plan.serialize());
     }
   }
 
