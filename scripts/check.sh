@@ -7,11 +7,13 @@
 # threaded campaign fan-out, the grid shard fan-out: grid_parallel_test and
 # the bench_grid smoke both carry it; see docs/FAULT_MODEL.md,
 # docs/CHECKPOINT.md, docs/GRID.md); ASan adds the obs and soak labels (the
-# TCP sink machinery, serve's snapshot restore probe and resume path).
+# TCP sink machinery, serve's snapshot restore probe and resume path); UBSan
+# runs the full suite with UBSAN_OPTIONS=halt_on_error=1, so any report fails
+# the test that reached it.
 #
-#   scripts/check.sh              # default + ASan + TSan
+#   scripts/check.sh              # default + ASan + TSan + UBSan
 #   scripts/check.sh default      # just the default tree
-#   scripts/check.sh asan tsan    # just the sanitizer trees
+#   scripts/check.sh asan tsan    # just those sanitizer trees
 #
 # Opt-in perf-regression stage (never part of the default sweep):
 #
@@ -21,8 +23,9 @@
 # the baseline directory via scripts/bench_diff.py. The tolerated regression
 # percentage is NWADE_BENCH_DIFF_THRESHOLD (default 10).
 #
-# Build dirs: build/ (default), build-asan/, build-tsan/. Existing dirs are
-# reused (incremental); delete one to force a clean configure.
+# Build dirs: build/ (default), build-asan/, build-tsan/, build-ubsan/.
+# Existing dirs are reused (incremental); delete one to force a clean
+# configure.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -30,7 +33,7 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 
 stages=("$@")
 if [[ ${#stages[@]} -eq 0 ]]; then
-  stages=(default asan tsan)
+  stages=(default asan tsan ubsan)
 fi
 
 run_tree() { # dir cmake-extra-args... -- ctest-args...
@@ -57,6 +60,11 @@ for stage in "${stages[@]}"; do
       echo "=== TSan tree: chaos suite ==="
       run_tree build-tsan -DSANITIZE=thread -- -L chaos
       ;;
+    ubsan)
+      echo "=== UBSan tree: full suite ==="
+      export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+      run_tree build-ubsan -DSANITIZE=undefined -- -j "$JOBS"
+      ;;
     bench-diff)
       echo "=== bench-diff: BENCH_*.json vs baseline envelopes ==="
       : "${NWADE_BENCH_BASELINE_DIR:?bench-diff needs NWADE_BENCH_BASELINE_DIR=<dir with baseline BENCH_*.json>}"
@@ -72,7 +80,7 @@ for stage in "${stages[@]}"; do
       done
       ;;
     *)
-      echo "unknown stage '$stage' (want: default asan tsan bench-diff)" >&2
+      echo "unknown stage '$stage' (want: default asan tsan ubsan bench-diff)" >&2
       exit 2
       ;;
   esac

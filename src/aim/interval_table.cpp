@@ -49,32 +49,6 @@ void IntervalTable::clear() {
   prefix_max_end_.clear();
 }
 
-void IntervalTable::checkpoint_save(ByteWriter& w) const {
-  w.u32(static_cast<std::uint32_t>(intervals_.size()));
-  for (const Interval& iv : intervals_) {
-    w.i64(iv.begin);
-    w.i64(iv.end);
-    w.u64(iv.owner.value);
-  }
-}
-
-bool IntervalTable::checkpoint_restore(ByteReader& r) {
-  const std::uint32_t n = r.u32();
-  if (!r.ok() || n > r.remaining() / 24) return false;  // 24 bytes per entry
-  intervals_.clear();
-  intervals_.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    Interval iv;
-    iv.begin = r.i64();
-    iv.end = r.i64();
-    iv.owner = VehicleId{r.u64()};
-    intervals_.push_back(iv);
-  }
-  prefix_max_end_.resize(intervals_.size());
-  rebuild_prefix_max(0);
-  return r.ok();
-}
-
 void IntervalTable::rebuild_prefix_max(std::size_t from) {
   for (std::size_t i = from; i < intervals_.size(); ++i) {
     const Tick prev = i == 0 ? intervals_[i].end : prefix_max_end_[i - 1];

@@ -19,7 +19,6 @@
 #include <optional>
 #include <vector>
 
-#include "util/bytes.h"
 #include "util/types.h"
 
 namespace nwade::aim {
@@ -51,11 +50,20 @@ class IntervalTable {
   bool empty() const { return intervals_.empty(); }
   const std::vector<Interval>& intervals() const { return intervals_; }
 
-  /// Serializes the interval list in stored (begin-sorted, insertion-stable)
-  /// order; restore reproduces the exact vector and rebuilds the prefix
-  /// maximum. Returns false on malformed input.
-  void checkpoint_save(ByteWriter& w) const;
-  bool checkpoint_restore(ByteReader& r);
+  /// Field list: the intervals in stored (begin-sorted, insertion-stable)
+  /// order; a read reproduces the exact vector and rebuilds the prefix
+  /// maximum.
+  template <class Ar, class Self> static void io(Ar& ar, Self& t) {
+    ar.seq(t.intervals_, 24, [](auto& a, auto& iv) {
+      a.i64(iv.begin);
+      a.i64(iv.end);
+      a.id(iv.owner);
+    });
+    if constexpr (Ar::kReading) {
+      t.prefix_max_end_.resize(t.intervals_.size());
+      t.rebuild_prefix_max(0);
+    }
+  }
 
  private:
   /// Recomputes prefix_max_end_[from..] after a mutation.

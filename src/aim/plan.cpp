@@ -5,6 +5,8 @@
 #include <cmath>
 #include <unordered_map>
 
+#include "util/archive.h"
+
 namespace nwade::aim {
 
 double TravelPlan::s_at(Tick t) const {
@@ -66,50 +68,50 @@ traffic::VehicleStatus TravelPlan::expected_status(const traffic::Route& route,
   return st;
 }
 
+template <class Ar, class Self>
+void TravelPlan::io(Ar& ar, Self& p) {
+  ar.id(p.vehicle);
+  ar.u32(p.route_id);
+  ar(p.traits);
+  ar(p.status_at_issue);
+  constexpr std::size_t kMaxSegments = 1000;  // sanity bound
+  ar.seq(p.segments, 24, [](auto& a, auto& seg) {
+    a.i64(seg.start);
+    a.f64(seg.s0);
+    a.f64(seg.v_mps);
+  }, kMaxSegments);
+  ar.i64(p.issued_at);
+  ar.i64(p.core_entry);
+  ar.i64(p.core_exit);
+  std::uint8_t flags = (p.evacuation ? 1 : 0) | (p.unmanaged ? 2 : 0);
+  ar.u8(flags);
+  if constexpr (Ar::kReading) {
+    p.evacuation = (flags & 1) != 0;
+    p.unmanaged = (flags & 2) != 0;
+    // s_at()/v_at() subtract starts from sim times; bounding them keeps that
+    // arithmetic exact and overflow-free.
+    constexpr Tick kMaxStart = Tick{1} << 53;
+    Tick prev = 0;
+    for (const PlanSegment& seg : p.segments) {
+      if (seg.start < prev || seg.start >= kMaxStart) return ar.fail();
+      prev = seg.start;
+    }
+  }
+}
+template void TravelPlan::io(WriteArchive&, const TravelPlan&);
+template void TravelPlan::io(ReadArchive&, TravelPlan&);
+
 Bytes TravelPlan::serialize() const {
   ByteWriter w;
   w.reserve(wire_size());
-  w.u64(vehicle.value);
-  w.u32(static_cast<std::uint32_t>(route_id));
-  traits.serialize(w);
-  status_at_issue.serialize(w);
-  w.u32(static_cast<std::uint32_t>(segments.size()));
-  for (const PlanSegment& seg : segments) {
-    w.i64(seg.start);
-    w.f64(seg.s0);
-    w.f64(seg.v_mps);
-  }
-  w.i64(issued_at);
-  w.i64(core_entry);
-  w.i64(core_exit);
-  w.u8(static_cast<std::uint8_t>((evacuation ? 1 : 0) | (unmanaged ? 2 : 0)));
+  save(w, *this);
   return w.take();
 }
 
 std::optional<TravelPlan> TravelPlan::deserialize(const Bytes& data) {
   ByteReader r(data);
   TravelPlan p;
-  p.vehicle = VehicleId{r.u64()};
-  p.route_id = static_cast<int>(r.u32());
-  p.traits = traffic::VehicleTraits::deserialize(r);
-  p.status_at_issue = traffic::VehicleStatus::deserialize(r);
-  const std::uint32_t n = r.u32();
-  if (n > 1000) return std::nullopt;  // sanity bound
-  p.segments.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    PlanSegment seg;
-    seg.start = r.i64();
-    seg.s0 = r.f64();
-    seg.v_mps = r.f64();
-    p.segments.push_back(seg);
-  }
-  p.issued_at = r.i64();
-  p.core_entry = r.i64();
-  p.core_exit = r.i64();
-  const std::uint8_t flags = r.u8();
-  p.evacuation = (flags & 1) != 0;
-  p.unmanaged = (flags & 2) != 0;
-  if (!r.ok() || !r.at_end()) return std::nullopt;
+  if (!load(r, p) || !r.at_end()) return std::nullopt;
   return p;
 }
 

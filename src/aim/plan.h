@@ -62,7 +62,12 @@ struct TravelPlan {
 
   /// Canonical serialization (Merkle leaf / wire format).
   Bytes serialize() const;
+  /// nullopt on malformed input, including segment starts that are not
+  /// non-decreasing within [0, 2^53) (honest plans start at sim times).
   static std::optional<TravelPlan> deserialize(const Bytes& data);
+
+  /// The wire form's field list (util/archive.h).
+  template <class Ar, class Self> static void io(Ar& ar, Self& p);
 
   /// Exact serialized size: fixed header/footer (84 bytes) + 24 per segment.
   /// Kept in lock-step with serialize() so callers can reserve() up front.

@@ -295,27 +295,4 @@ std::vector<TravelPlan> ReservationScheduler::plan_recovery(
   return plans;
 }
 
-void ReservationScheduler::checkpoint_save(ByteWriter& w) const {
-  w.u32(static_cast<std::uint32_t>(zone_tables_.size()));
-  for (const IntervalTable& t : zone_tables_) t.checkpoint_save(w);
-  w.u32(static_cast<std::uint32_t>(route_core_tables_.size()));
-  for (const IntervalTable& t : route_core_tables_) t.checkpoint_save(w);
-  w.u32(static_cast<std::uint32_t>(route_last_core_entry_.size()));
-  for (const Tick t : route_last_core_entry_) w.i64(t);
-}
-
-bool ReservationScheduler::checkpoint_restore(ByteReader& r) {
-  if (r.u32() != zone_tables_.size()) return false;
-  for (IntervalTable& t : zone_tables_) {
-    if (!t.checkpoint_restore(r)) return false;
-  }
-  if (r.u32() != route_core_tables_.size()) return false;
-  for (IntervalTable& t : route_core_tables_) {
-    if (!t.checkpoint_restore(r)) return false;
-  }
-  if (r.u32() != route_last_core_entry_.size()) return false;
-  for (Tick& t : route_last_core_entry_) t = r.i64();
-  return r.ok();
-}
-
 }  // namespace nwade::aim

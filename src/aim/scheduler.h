@@ -116,12 +116,14 @@ class ReservationScheduler final : public Scheduler {
   /// Number of live zone reservations (for tests/metrics).
   std::size_t reservation_count() const;
 
-  /// Serializes every reservation table and the per-route commit watermark.
-  /// Restore expects a scheduler freshly built from the identical
-  /// intersection (same table counts); returns false otherwise or on
-  /// malformed input.
-  void checkpoint_save(ByteWriter& w) const;
-  bool checkpoint_restore(ByteReader& r);
+  /// Field list: every reservation table and the per-route commit
+  /// watermark. A read expects a scheduler freshly built from the identical
+  /// intersection (same table counts) and rejects any other.
+  template <class Ar, class Self> static void io(Ar& ar, Self& s) {
+    ar.fixed(s.zone_tables_, [](auto& a, auto& t) { a(t); });
+    ar.fixed(s.route_core_tables_, [](auto& a, auto& t) { a(t); });
+    ar.fixed(s.route_last_core_entry_, [](auto& a, auto& t) { a.i64(t); });
+  }
 
  private:
   using Interval = IntervalTable::Interval;

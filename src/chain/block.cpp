@@ -44,6 +44,21 @@ std::size_t wire_size_of(const Bytes& signature, const std::vector<VehicleId>& r
   return total;
 }
 
+/// The wire form's field list, over a Block (saving) or BlockFields
+/// (decoding); a Block keeps its plans private, so they are passed apart.
+template <class Ar, class F, class Plans>
+void wire_io(Ar& ar, F& f, Plans& plans) {
+  constexpr std::size_t kMaxEntries = 100'000;  // sanity bound
+  ar.bytes(f.signature);
+  ar.digest(f.prev_hash);
+  ar.i64(f.timestamp);
+  ar.digest(f.merkle_root);
+  ar.u64(f.seq);
+  ar.seq(f.revoked, 8, [](auto& a, auto& id) { a.id(id); }, kMaxEntries);
+  // A plan is at least its 4-byte length and 84-byte fixed part.
+  ar.seq(plans, 88, [](auto& a, auto& p) { a.sized(p); }, kMaxEntries);
+}
+
 }  // namespace
 
 // std::move(f) only binds the rvalue reference: the root and the payload read
@@ -100,49 +115,24 @@ crypto::MerkleProof Block::prove_plan(std::size_t index) const {
   return tree_of(plans_).prove(index);
 }
 
+void Block::io(WriteArchive& ar, const Block& b) { wire_io(ar, b, b.plans_); }
+
 Bytes Block::serialize() const {
   // Reserving the exact total turns the per-plan appends from repeated
   // geometric regrowth (quadratic copying on large windows) into one
   // allocation.
   ByteWriter w;
   w.reserve(wire_size_);
-  w.bytes(signature);
-  w.bytes(prev_hash);
-  w.i64(timestamp);
-  w.bytes(merkle_root);
-  w.u64(seq);
-  w.u32(static_cast<std::uint32_t>(revoked.size()));
-  for (VehicleId v : revoked) w.u64(v.value);
-  w.u32(static_cast<std::uint32_t>(plans_.size()));
-  for (const aim::TravelPlan& p : plans_) w.bytes(p.serialize());
+  save(w, *this);
   return w.take();
 }
 
 BlockPtr Block::deserialize(const Bytes& data) {
   ByteReader r(data);
+  ReadArchive ar(r);
   BlockFields f;
-  f.signature = r.bytes();
-  const Bytes prev = r.bytes();
-  if (prev.size() != f.prev_hash.size()) return nullptr;
-  std::copy(prev.begin(), prev.end(), f.prev_hash.begin());
-  f.timestamp = r.i64();
-  const Bytes root = r.bytes();
-  if (root.size() != f.merkle_root.size()) return nullptr;
-  std::copy(root.begin(), root.end(), f.merkle_root.begin());
-  f.seq = r.u64();
-  const std::uint32_t n_revoked = r.u32();
-  if (n_revoked > 100000) return nullptr;
-  f.revoked.reserve(n_revoked);
-  for (std::uint32_t i = 0; i < n_revoked; ++i) f.revoked.push_back(VehicleId{r.u64()});
-  const std::uint32_t n = r.u32();
-  if (n > 100000) return nullptr;
-  f.plans.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    auto plan = aim::TravelPlan::deserialize(r.bytes());
-    if (!plan) return nullptr;
-    f.plans.push_back(std::move(*plan));
-  }
-  if (!r.ok() || !r.at_end()) return nullptr;
+  wire_io(ar, f, f.plans);
+  if (!ar.ok() || !r.at_end()) return nullptr;
   return std::make_shared<const Block>(std::move(f));
 }
 

@@ -23,6 +23,7 @@
 #include "crypto/merkle.h"
 #include "crypto/sha256.h"
 #include "crypto/signer.h"
+#include "util/archive.h"
 #include "util/types.h"
 
 namespace nwade::chain {
@@ -102,6 +103,10 @@ class Block {
 
   /// Exactly serialize().size() (network-load accounting).
   std::size_t wire_size() const { return wire_size_; }
+
+  /// Writes serialize()'s bytes in place (chain::io_block); decoding goes
+  /// through deserialize(), which shares the same field list.
+  static void io(WriteArchive& ar, const Block& b);
 
  private:
   /// The fields constructor, given the Merkle root recomputed from the plans

@@ -115,24 +115,4 @@ std::vector<const aim::TravelPlan*> BlockStore::latest_plans() const {
   return out;
 }
 
-void BlockStore::checkpoint_save(ByteWriter& w) const {
-  w.u64(max_depth_);
-  w.u32(static_cast<std::uint32_t>(blocks_.size()));
-  for (const BlockPtr& b : blocks_) w.bytes(b->serialize());
-}
-
-bool BlockStore::checkpoint_restore(ByteReader& r, BlockTable& table) {
-  max_depth_ = static_cast<std::size_t>(r.u64());
-  const std::uint32_t n = r.u32();
-  if (!r.ok() || n > r.remaining()) return false;  // each block is >= 1 byte
-  blocks_.clear();
-  plans_.clear();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    BlockPtr b = table.get(r.bytes());
-    if (!r.ok() || b == nullptr) return false;
-    append_unchecked(std::move(b));
-  }
-  return true;
-}
-
 }  // namespace nwade::chain

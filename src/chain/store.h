@@ -11,6 +11,7 @@
 // checking lives in the NWADE protocol layer.
 #pragma once
 
+#include <cassert>
 #include <deque>
 #include <map>
 #include <unordered_map>
@@ -99,14 +100,15 @@ class BlockStore {
   /// find_plan() of every vehicle with a cached plan, in VehicleId order.
   std::vector<const aim::TravelPlan*> latest_plans() const;
 
-  // --- checkpoint/restore (sim/checkpoint) ----------------------------------
+  /// Field list: the depth bound, then the cached blocks (blocks_io).
+  template <class Ar, class Self> static void io(Ar& ar, Self& store) {
+    ar.u64(store.max_depth_);
+    blocks_io(ar, store);
+  }
 
-  /// Serializes the depth bound and every cached block (Block::serialize).
-  void checkpoint_save(ByteWriter& w) const;
-
-  /// Restores a saved store through `table` (unchecked appends). Returns
-  /// false on malformed input (the store may then be partially filled).
-  bool checkpoint_restore(ByteReader& r, BlockTable& table);
+  /// The cached blocks, oldest first (the IM's window saves only these). A
+  /// read appends them unchecked, through the archive's BlockTable.
+  template <class Ar, class Self> static void blocks_io(Ar& ar, Self& store);
 
  private:
   /// A vehicle's newest cached plan: the newest cached block carrying a plan
@@ -124,5 +126,38 @@ class BlockStore {
   /// vehicles here, every eviction drops the entries that point at it.
   std::unordered_map<VehicleId, PlanRef> plans_;
 };
+
+/// A shared block in a field list: its wire form, which a read decodes
+/// through the archive's BlockTable so equal blocks stay one object. A null
+/// block is saved as empty bytes and never read back.
+template <class Ar, class P>
+void io_block(Ar& ar, P& block) {
+  if constexpr (Ar::kReading) {
+    assert(ar.blocks() != nullptr && "reading blocks needs a BlockTable");
+    Bytes wire;
+    ar.bytes(wire);
+    block = ar.ok() ? ar.blocks()->get(wire) : nullptr;
+    if (block == nullptr) ar.fail();
+  } else if (block != nullptr) {
+    ar.sized(*block);
+  } else {
+    const Bytes none;
+    ar.bytes(none);
+  }
+}
+
+template <class Ar, class Self>
+void BlockStore::blocks_io(Ar& ar, Self& store) {
+  if constexpr (Ar::kReading) {
+    std::vector<BlockPtr> blocks;
+    ar.seq(blocks, 4, [](auto& a, BlockPtr& b) { io_block(a, b); });
+    store.blocks_.clear();
+    store.plans_.clear();
+    if (!ar.ok()) return;
+    for (BlockPtr& b : blocks) store.append_unchecked(std::move(b));
+  } else {
+    ar.seq(store.blocks_, 4, [](auto& a, const BlockPtr& b) { io_block(a, b); });
+  }
+}
 
 }  // namespace nwade::chain

@@ -2,6 +2,8 @@
 
 #include <limits>
 
+#include "util/archive.h"
+
 namespace nwade::crypto {
 
 SigVerifyCache& SigVerifyCache::instance() {
@@ -136,60 +138,35 @@ bool SigVerifyCache::evict_globally_oldest() {
   return true;
 }
 
-void SigVerifyCache::checkpoint_save(ByteWriter& w) const {
-  w.u64(capacity_.load(std::memory_order_relaxed));
-  w.u64(next_seq_.load(std::memory_order_relaxed));
-  w.u64(hits_.load(std::memory_order_relaxed));
-  w.u64(misses_.load(std::memory_order_relaxed));
-  w.u64(insertions_.load(std::memory_order_relaxed));
-  w.u64(evictions_.load(std::memory_order_relaxed));
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    w.u32(static_cast<std::uint32_t>(shard.order.size()));
-    for (const auto& [seq, key] : shard.order) {  // FIFO order per shard
-      w.u64(seq);
-      w.bytes(key);
-      const auto it = shard.entries.find(key);
-      w.u8(it != shard.entries.end() && it->second.ok ? 1 : 0);
-    }
-  }
-}
-
-bool SigVerifyCache::checkpoint_restore(ByteReader& r) {
-  const std::uint64_t capacity = r.u64();
-  const std::uint64_t next_seq = r.u64();
-  const std::uint64_t hits = r.u64();
-  const std::uint64_t misses = r.u64();
-  const std::uint64_t insertions = r.u64();
-  const std::uint64_t evictions = r.u64();
-  if (!r.ok()) return false;
+template <class Ar, class Self>
+void SigVerifyCache::io(Ar& ar, Self& cache) {
+  ar.u64(cache.capacity_);
+  ar.u64(cache.next_seq_);
+  ar.u64(cache.hits_);
+  ar.u64(cache.misses_);
+  ar.u64(cache.insertions_);
+  ar.u64(cache.evictions_);
   std::size_t total = 0;
-  for (Shard& shard : shards_) {
+  for (auto& shard : cache.shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.entries.clear();
-    shard.order.clear();
-    const std::uint32_t n = r.u32();
-    if (!r.ok() || n > r.remaining() / 45) return false;  // 45 bytes/entry
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint64_t seq = r.u64();
-      const Bytes key_bytes = r.bytes();
-      const bool ok = r.u8() != 0;
-      if (!r.ok() || key_bytes.size() != std::tuple_size_v<Digest>) return false;
-      Digest key;
-      std::copy(key_bytes.begin(), key_bytes.end(), key.begin());
-      shard.entries[key] = Entry{ok, seq};
-      shard.order.emplace_back(seq, key);
-      ++total;
-    }
+    if constexpr (Ar::kReading) shard.entries.clear();
+    // FIFO order per shard: seq, key, verdict (45 bytes per entry).
+    ar.seq(shard.order, 45, [&shard](auto& a, auto& e) {
+      a.u64(e.first);
+      a.digest(e.second);
+      bool ok = false;
+      if constexpr (!Ar::kReading) {
+        const auto it = shard.entries.find(e.second);
+        ok = it != shard.entries.end() && it->second.ok;
+      }
+      a.flag(ok);
+      if constexpr (Ar::kReading) shard.entries[e.second] = Entry{ok, e.first};
+    });
+    total += shard.order.size();
   }
-  capacity_.store(capacity, std::memory_order_relaxed);
-  size_.store(total, std::memory_order_relaxed);
-  next_seq_.store(next_seq, std::memory_order_relaxed);
-  hits_.store(hits, std::memory_order_relaxed);
-  misses_.store(misses, std::memory_order_relaxed);
-  insertions_.store(insertions, std::memory_order_relaxed);
-  evictions_.store(evictions, std::memory_order_relaxed);
-  return true;
+  if constexpr (Ar::kReading) cache.size_.store(total, std::memory_order_relaxed);
 }
+template void SigVerifyCache::io(WriteArchive&, const SigVerifyCache&);
+template void SigVerifyCache::io(ReadArchive&, SigVerifyCache&);
 
 }  // namespace nwade::crypto

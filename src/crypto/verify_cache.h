@@ -114,12 +114,11 @@ class SigVerifyCache {
   Stats stats() const;
   void reset_stats();
 
-  /// Serializes capacity, counters, and every shard's entries in FIFO order,
-  /// so a resumed run replays the same hits, misses, and evictions. Restore
-  /// overwrites the cache in place; returns false on malformed input.
-  /// Not safe concurrently with lookups/stores.
-  void checkpoint_save(ByteWriter& w) const;
-  bool checkpoint_restore(ByteReader& r);
+  /// Field list: capacity, counters, and every shard's entries in FIFO
+  /// order, so a resumed run replays the same hits, misses, and evictions.
+  /// A read overwrites the cache in place. Not safe concurrently with
+  /// lookups/stores.
+  template <class Ar, class Self> static void io(Ar& ar, Self& cache);
 
  private:
   using DigestHash = DigestKeyHash;

@@ -57,29 +57,4 @@ std::optional<Tick> EdgeChannel::lossy_delivery_at(Tick send_t) {
   return send_t + latency_draw();
 }
 
-void EdgeChannel::checkpoint_save(ByteWriter& w) const {
-  const Rng::State st = rng_.state();
-  for (const std::uint64_t word : st.s) w.u64(word);
-  w.u64(st.seed);
-  w.u8(ge_bad_ ? 1 : 0);
-  w.u64(stats_.handoffs);
-  w.u64(stats_.deferred);
-  w.u64(stats_.gossip_sent);
-  w.u64(stats_.gossip_dropped);
-}
-
-bool EdgeChannel::checkpoint_restore(ByteReader& r) {
-  Rng::State st;
-  for (std::uint64_t& word : st.s) word = r.u64();
-  st.seed = r.u64();
-  ge_bad_ = r.u8() != 0;
-  stats_.handoffs = r.u64();
-  stats_.deferred = r.u64();
-  stats_.gossip_sent = r.u64();
-  stats_.gossip_dropped = r.u64();
-  if (!r.ok()) return false;
-  rng_.set_state(st);
-  return true;
-}
-
 }  // namespace nwade::net

@@ -81,12 +81,18 @@ class EdgeChannel {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Serializes the Rng position, burst-loss state, and stats. The config is
-  /// NOT part of the wire form — the owner reconstructs it (it is part of the
-  /// grid's own config section) and must restore onto a channel built with
-  /// the identical config.
-  void checkpoint_save(ByteWriter& w) const;
-  bool checkpoint_restore(ByteReader& r);
+  /// Field list: the Rng position, burst-loss state, and stats. The config
+  /// is NOT part of it — the owner reconstructs it (it is part of the grid's
+  /// own config section) and must restore onto a channel built with the
+  /// identical config.
+  template <class Ar, class Self> static void io(Ar& ar, Self& ch) {
+    ar(ch.rng_);
+    ar.flag(ch.ge_bad_);
+    ar.u64(ch.stats_.handoffs);
+    ar.u64(ch.stats_.deferred);
+    ar.u64(ch.stats_.gossip_sent);
+    ar.u64(ch.stats_.gossip_dropped);
+  }
 
  private:
   Duration latency_draw();

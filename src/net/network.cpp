@@ -314,75 +314,59 @@ void Network::reset_stats() {
   stats_view_ = NetworkStats{};
 }
 
-void Network::checkpoint_save(ByteWriter& w, const MessageEncoder& encode) const {
-  const Rng::State rng = rng_.state();
-  for (const std::uint64_t s : rng.s) w.u64(s);
-  w.u64(rng.seed);
-  w.u8(ge_bad_ ? 1 : 0);
+template <class Ar, class Self>
+void Network::io(Ar& ar, Self& net, const MessageCodec& codec) {
+  ar(net.rng_);
+  ar.flag(net.ge_bad_);
 
   // Kinds seen so far, sorted: stats() only reports kinds present in
   // kind_handles_, so a resumed network must re-create the exact handle set
   // even for kinds with no packet currently in flight.
   std::vector<std::string> kinds;
-  kinds.reserve(kind_handles_.size());
-  for (const auto& [kind, h] : kind_handles_) kinds.push_back(kind);
-  std::sort(kinds.begin(), kinds.end());
-  w.u32(static_cast<std::uint32_t>(kinds.size()));
-  for (const std::string& kind : kinds) w.str(kind);
+  if constexpr (!Ar::kReading) {
+    for (const auto& [kind, h] : net.kind_handles_) kinds.push_back(kind);
+    std::sort(kinds.begin(), kinds.end());
+  }
+  ar.seq(kinds, 4, [](auto& a, auto& kind) { a.str(kind); });
 
-  w.u32(static_cast<std::uint32_t>(pending_.size()));
-  for (const auto& [id, p] : pending_) {  // ascending id == scheduling order
-    w.u64(p.queue_seq);
-    w.i64(p.arrival);
-    w.u64(p.env.from.value);
-    w.u64(p.env.to.value);
-    w.u8(p.env.broadcast ? 1 : 0);
-    w.i64(p.env.sent_at);
-    w.f64(p.env.origin.x);
-    w.f64(p.env.origin.y);
-    encode(w, *p.env.msg);
+  // One delivery is at least 57 bytes of envelope and a tag byte.
+  constexpr std::size_t kMinPending = 58;
+  const auto pending_io = [&codec](auto& a, auto& p) {
+    a.u64(p.queue_seq);
+    a.i64(p.arrival);
+    a.id(p.env.from);
+    a.id(p.env.to);
+    a.flag(p.env.broadcast);
+    a.i64(p.env.sent_at);
+    a.f64(p.env.origin.x);
+    a.f64(p.env.origin.y);
+    if constexpr (Ar::kReading) {
+      p.env.msg = codec.decode(a);
+      if (p.env.msg == nullptr) a.fail();
+    } else {
+      codec.encode(a, *p.env.msg);
+    }
+  };
+  if constexpr (Ar::kReading) {
+    std::vector<Pending> pending;
+    ar.seq(pending, kMinPending, pending_io);
+    if (!ar.ok()) return;
+    for (const std::string& kind : kinds) net.kind_handles(kind);
+    for (Pending& p : pending) {
+      p.latency_ms = net.kind_handles(p.env.msg->kind()).latency_ms;
+      const std::uint64_t id = net.next_delivery_id_++;
+      net.queue_.schedule_at_seq(p.arrival, p.queue_seq,
+                                 [&net, id] { net.deliver_pending(id); });
+      net.pending_.emplace(id, std::move(p));
+    }
+  } else {
+    // Ascending id == scheduling order.
+    ar.seq(net.pending_, kMinPending,
+           [&](auto& a, const auto& entry) { pending_io(a, entry.second); });
   }
 }
-
-bool Network::checkpoint_restore(ByteReader& r, const MessageDecoder& decode) {
-  Rng::State rng;
-  for (std::uint64_t& s : rng.s) s = r.u64();
-  rng.seed = r.u64();
-  rng_.set_state(rng);
-  ge_bad_ = r.u8() != 0;
-
-  const std::uint32_t n_kinds = r.u32();
-  if (n_kinds > r.remaining()) return false;  // >= 1 byte per entry
-  for (std::uint32_t i = 0; i < n_kinds; ++i) {
-    const std::string kind = r.str();
-    if (!r.ok()) return false;
-    kind_handles(kind);
-  }
-
-  const std::uint32_t n_pending = r.u32();
-  if (n_pending > r.remaining()) return false;
-  for (std::uint32_t i = 0; i < n_pending; ++i) {
-    Pending p;
-    p.queue_seq = r.u64();
-    p.arrival = r.i64();
-    Envelope env;
-    env.from = NodeId{r.u64()};
-    env.to = NodeId{r.u64()};
-    env.broadcast = r.u8() != 0;
-    env.sent_at = r.i64();
-    env.origin.x = r.f64();
-    env.origin.y = r.f64();
-    env.msg = decode(r);
-    if (!r.ok() || env.msg == nullptr) return false;
-    p.latency_ms = kind_handles(env.msg->kind()).latency_ms;
-    p.env = std::move(env);
-    const std::uint64_t id = next_delivery_id_++;
-    queue_.schedule_at_seq(p.arrival, p.queue_seq,
-                           [this, id] { deliver_pending(id); });
-    pending_.emplace(id, std::move(p));
-  }
-  return r.ok();
-}
+template void Network::io(WriteArchive&, const Network&, const MessageCodec&);
+template void Network::io(ReadArchive&, Network&, const MessageCodec&);
 
 void Network::broadcast(NodeId from, MessagePtr msg) {
   assert(msg != nullptr);

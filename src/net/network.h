@@ -9,7 +9,6 @@
 // outages — all off by default.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -17,12 +16,11 @@
 #include <unordered_set>
 #include <vector>
 
-#include "util/bytes.h"
-
 #include "geom/spatial_hash.h"
 #include "geom/vec2.h"
 #include "net/clock.h"
 #include "net/fault.h"
+#include "util/archive.h"
 #include "util/rng.h"
 #include "util/telemetry.h"
 #include "util/trace.h"
@@ -134,19 +132,19 @@ class Network {
   // The network layer cannot name protocol message types, so the caller
   // supplies the codec: `encode` writes one message (kind + payload),
   // `decode` reads one back or returns nullptr on malformed input.
-  using MessageEncoder = std::function<void(ByteWriter&, const Message&)>;
-  using MessageDecoder = std::function<MessagePtr(ByteReader&)>;
+  struct MessageCodec {
+    void (*encode)(WriteArchive&, const Message&);
+    MessagePtr (*decode)(ReadArchive&);
+  };
 
-  /// Serializes the channel state a resumed run needs to stay bit-exact:
+  /// Field list of the channel state a resumed run needs to stay bit-exact:
   /// the RNG position, the Gilbert–Elliott state, the set of message kinds
   /// already seen (stats() shape), and every in-flight delivery with its
-  /// exact event-queue (when, seq) coordinates.
-  void checkpoint_save(ByteWriter& w, const MessageEncoder& encode) const;
-
-  /// Restores onto a freshly constructed network with the same config.
-  /// Re-schedules each saved delivery at its original queue position via
-  /// EventQueue::schedule_at_seq. Returns false on malformed input.
-  bool checkpoint_restore(ByteReader& r, const MessageDecoder& decode);
+  /// exact event-queue (when, seq) coordinates. A read restores onto a
+  /// freshly constructed network with the same config and re-schedules each
+  /// delivery at its original queue position (EventQueue::schedule_at_seq).
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& net, const MessageCodec& codec);
 
   /// Number of in-flight deliveries (tests/diagnostics).
   std::size_t pending_deliveries() const { return pending_.size(); }

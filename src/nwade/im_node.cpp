@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cstdlib>
 
 #include "util/log.h"
 
@@ -467,17 +466,6 @@ void ImNode::handle_block_request(const BlockRequest& req, NodeId from) {
 // --- report verification (Section IV-B2) ----------------------------------------------
 
 void ImNode::handle_incident_report(const IncidentReport& report, Tick now) {
-  if (std::getenv("NWADE_DEBUG_IM")) {
-    const auto obs = ctx_.sensors->observe(report.evidence.suspect);
-    std::fprintf(stderr,
-                 "IM-RPT t=%lld reporter=%llu suspect=%llu dev=%.1f obs=%d norm=%.0f plan=%d state=%s\n",
-                 (long long)now, (unsigned long long)report.reporter.value,
-                 (unsigned long long)report.evidence.suspect.value,
-                 report.evidence.deviation_m, obs.has_value(),
-                 obs ? obs->status.position.norm() : -1.0,
-                 (int)active_plans_.count(report.evidence.suspect),
-                 im_state_name(state_));
-  }
   if (silenced(now)) return;  // compromised IM stonewalls
 
   const VehicleId suspect = report.evidence.suspect;
@@ -810,224 +798,74 @@ void ImNode::finish_evacuation(Tick now) {
   set_state(ImState::kStandby);
 }
 
-namespace {
-
-void save_id_set(ByteWriter& w, const std::set<VehicleId>& ids) {
-  w.u32(static_cast<std::uint32_t>(ids.size()));
-  for (const VehicleId id : ids) w.u64(id.value);
-}
-
-bool load_id_set(ByteReader& r, std::set<VehicleId>& ids) {
-  ids.clear();
-  const std::uint32_t n = r.u32();
-  if (!r.ok() || n > r.remaining() / 8) return false;
-  for (std::uint32_t i = 0; i < n; ++i) ids.insert(VehicleId{r.u64()});
-  return r.ok();
-}
-
-void save_tick_map(ByteWriter& w, const std::map<VehicleId, Tick>& m) {
-  w.u32(static_cast<std::uint32_t>(m.size()));
-  for (const auto& [id, t] : m) {
-    w.u64(id.value);
-    w.i64(t);
-  }
-}
-
-bool load_tick_map(ByteReader& r, std::map<VehicleId, Tick>& m) {
-  m.clear();
-  const std::uint32_t n = r.u32();
-  if (!r.ok() || n > r.remaining() / 16) return false;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const VehicleId id{r.u64()};
-    m[id] = r.i64();
-  }
-  return r.ok();
-}
-
-bool load_digest(ByteReader& r, crypto::Digest& d) {
-  const Bytes b = r.bytes();
-  if (!r.ok() || b.size() != d.size()) return false;
-  std::copy(b.begin(), b.end(), d.begin());
-  return true;
-}
-
-}  // namespace
-
-void ImNode::checkpoint_save(ByteWriter& w) const {
-  w.u8(static_cast<std::uint8_t>(state_));
-  w.u32(static_cast<std::uint32_t>(pending_requests_.size()));
-  for (const PlanRequest& req : pending_requests_) {
-    w.u64(req.vehicle.value);
-    w.i64(req.route_id);
-    req.traits.serialize(w);
-    req.status.serialize(w);
-  }
-  w.u32(static_cast<std::uint32_t>(active_plans_.size()));
-  for (const auto& [id, plan] : active_plans_) {
-    w.u64(id.value);
-    w.bytes(plan.serialize());
-  }
-  w.bytes(prev_hash_);
-  w.u64(seq_);
-  w.u32(static_cast<std::uint32_t>(recent_blocks_.size()));
-  for (const chain::BlockPtr& b : recent_blocks_.blocks()) w.bytes(b->serialize());
-
-  w.u32(static_cast<std::uint32_t>(rounds_.size()));
-  for (const auto& [id, round] : rounds_) {
-    w.u64(id);
-    w.u64(round.suspect.value);
-    save_id_set(w, round.reporters);
-    w.i64(round.phase);
-    w.i64(round.started_at);
-    save_id_set(w, round.asked_ever);
-    w.u32(static_cast<std::uint32_t>(round.votes.size()));
-    for (const auto& [voter, abnormal] : round.votes) {
-      w.u64(voter.value);
-      w.u8(abnormal ? 1 : 0);
+template <class Ar, class Self>
+void ImNode::io(Ar& ar, Self& im) {
+  ar.enum8(im.state_, ImState::kRecovery);
+  ar.seq(im.pending_requests_, 16, [](auto& a, auto& req) { a(req); });
+  ar.map(im.active_plans_, 8, [](auto& a, auto& id, auto& plan) {
+    a.id(id);
+    a.sized(plan);
+  });
+  ar.digest(im.prev_hash_);
+  ar.u64(im.seq_);
+  chain::BlockStore::blocks_io(ar, im.recent_blocks_);
+  ar.map(im.rounds_, 16, [](auto& a, auto& id, auto& round) {
+    a.u64(id);
+    a.id(round.suspect);
+    a.ids(round.reporters);
+    a.i64(round.phase);
+    a.i64(round.started_at);
+    a.ids(round.asked_ever);
+    a.map(round.votes, 9, [](auto& b, auto& voter, auto& abnormal) {
+      b.id(voter);
+      b.flag(abnormal);
+    });
+  });
+  ar.u64(im.next_round_id_);
+  ar.map(im.reporter_strikes_, 16, [](auto& a, auto& id, auto& strikes) {
+    a.id(id);
+    a.i64(strikes);
+  });
+  ar.ids(im.unmanaged_ids_);
+  ar.tick_map(im.parked_since_);
+  ar.tick_map(im.courtesy_retry_at_);
+  ar.i64(im.courtesy_until_);
+  ar.ids(im.ever_planned_);
+  ar.flag(im.down_);
+  ar.id(im.evacuation_suspect_);
+  ar.i64(im.suspect_stopped_checks_);
+  ar.ids(im.confirmed_suspects_);
+  ar.flag(im.conflict_injected_);
+  ar.flag(im.sham_alert_sent_);
+  ar(im.scheduler_);
+  ar.maybe(im.window_event_, [](auto& a, auto& ev) { a(ev); });
+  ar.map(im.pending_tallies_, 24, [](auto& a, auto& id, auto& ev) {
+    a.u64(id);
+    a(ev);
+  });
+  if constexpr (Ar::kReading) {
+    if (!ar.ok()) return;
+    im.round_by_suspect_.clear();
+    for (auto& [id, round] : im.rounds_) {
+      round.id = id;
+      im.round_by_suspect_[round.suspect] = id;
+    }
+    // Re-arm the pending timers at their exact historical queue coordinates.
+    if (im.window_event_.has_value()) {
+      im.ctx_.queue->schedule_at_seq(im.window_event_->when, im.window_event_->seq,
+                                     [&im] {
+                                       im.process_window();
+                                       im.start();  // re-arm the next window
+                                     });
+    }
+    for (const auto& [id, ev] : im.pending_tallies_) {
+      const std::uint64_t round_id = id;
+      im.ctx_.queue->schedule_at_seq(ev.when, ev.seq,
+                                     [&im, round_id] { im.tally_round(round_id); });
     }
   }
-  w.u64(next_round_id_);
-  w.u32(static_cast<std::uint32_t>(reporter_strikes_.size()));
-  for (const auto& [id, strikes] : reporter_strikes_) {
-    w.u64(id.value);
-    w.i64(strikes);
-  }
-  save_id_set(w, unmanaged_ids_);
-  save_tick_map(w, parked_since_);
-  save_tick_map(w, courtesy_retry_at_);
-  w.i64(courtesy_until_);
-  save_id_set(w, ever_planned_);
-  w.u8(down_ ? 1 : 0);
-  w.u64(evacuation_suspect_.value);
-  w.i64(suspect_stopped_checks_);
-  save_id_set(w, confirmed_suspects_);
-  w.u8(conflict_injected_ ? 1 : 0);
-  w.u8(sham_alert_sent_ ? 1 : 0);
-
-  scheduler_.checkpoint_save(w);
-
-  w.u8(window_event_.has_value() ? 1 : 0);
-  if (window_event_.has_value()) {
-    w.u64(window_event_->seq);
-    w.i64(window_event_->when);
-  }
-  w.u32(static_cast<std::uint32_t>(pending_tallies_.size()));
-  for (const auto& [id, ev] : pending_tallies_) {
-    w.u64(id);
-    w.u64(ev.seq);
-    w.i64(ev.when);
-  }
 }
-
-bool ImNode::checkpoint_restore(ByteReader& r, chain::BlockTable& blocks) {
-  state_ = static_cast<ImState>(r.u8());
-  const std::uint32_t n_requests = r.u32();
-  if (!r.ok() || n_requests > r.remaining() / 16) return false;
-  pending_requests_.clear();
-  for (std::uint32_t i = 0; i < n_requests; ++i) {
-    PlanRequest req;
-    req.vehicle = VehicleId{r.u64()};
-    req.route_id = static_cast<int>(r.i64());
-    req.traits = traffic::VehicleTraits::deserialize(r);
-    req.status = traffic::VehicleStatus::deserialize(r);
-    pending_requests_.push_back(std::move(req));
-  }
-  const std::uint32_t n_plans = r.u32();
-  if (!r.ok() || n_plans > r.remaining() / 8) return false;
-  active_plans_.clear();
-  for (std::uint32_t i = 0; i < n_plans; ++i) {
-    const VehicleId id{r.u64()};
-    std::optional<aim::TravelPlan> plan = aim::TravelPlan::deserialize(r.bytes());
-    if (!plan) return false;
-    active_plans_.emplace(id, std::move(*plan));
-  }
-  if (!load_digest(r, prev_hash_)) return false;
-  seq_ = r.u64();
-  const std::uint32_t n_blocks = r.u32();
-  if (!r.ok() || n_blocks > r.remaining()) return false;
-  recent_blocks_ = chain::BlockStore(recent_blocks_.max_depth());
-  for (std::uint32_t i = 0; i < n_blocks; ++i) {
-    chain::BlockPtr b = blocks.get(r.bytes());
-    if (b == nullptr) return false;
-    recent_blocks_.append_unchecked(std::move(b));
-  }
-
-  const std::uint32_t n_rounds = r.u32();
-  if (!r.ok() || n_rounds > r.remaining() / 16) return false;
-  rounds_.clear();
-  round_by_suspect_.clear();
-  for (std::uint32_t i = 0; i < n_rounds; ++i) {
-    VerificationRound round;
-    round.id = r.u64();
-    round.suspect = VehicleId{r.u64()};
-    if (!load_id_set(r, round.reporters)) return false;
-    round.phase = static_cast<int>(r.i64());
-    round.started_at = r.i64();
-    if (!load_id_set(r, round.asked_ever)) return false;
-    const std::uint32_t n_votes = r.u32();
-    if (!r.ok() || n_votes > r.remaining() / 9) return false;
-    for (std::uint32_t v = 0; v < n_votes; ++v) {
-      const VehicleId voter{r.u64()};
-      round.votes[voter] = r.u8() != 0;
-    }
-    round_by_suspect_[round.suspect] = round.id;
-    rounds_.emplace(round.id, std::move(round));
-  }
-  next_round_id_ = r.u64();
-  const std::uint32_t n_strikes = r.u32();
-  if (!r.ok() || n_strikes > r.remaining() / 16) return false;
-  reporter_strikes_.clear();
-  for (std::uint32_t i = 0; i < n_strikes; ++i) {
-    const VehicleId id{r.u64()};
-    reporter_strikes_[id] = static_cast<int>(r.i64());
-  }
-  if (!load_id_set(r, unmanaged_ids_)) return false;
-  if (!load_tick_map(r, parked_since_)) return false;
-  if (!load_tick_map(r, courtesy_retry_at_)) return false;
-  courtesy_until_ = r.i64();
-  if (!load_id_set(r, ever_planned_)) return false;
-  down_ = r.u8() != 0;
-  evacuation_suspect_ = VehicleId{r.u64()};
-  suspect_stopped_checks_ = static_cast<int>(r.i64());
-  if (!load_id_set(r, confirmed_suspects_)) return false;
-  conflict_injected_ = r.u8() != 0;
-  sham_alert_sent_ = r.u8() != 0;
-
-  if (!scheduler_.checkpoint_restore(r)) return false;
-
-  window_event_.reset();
-  if (r.u8() != 0) {
-    PendingEvent ev;
-    ev.seq = r.u64();
-    ev.when = r.i64();
-    window_event_ = ev;
-  }
-  pending_tallies_.clear();
-  const std::uint32_t n_tallies = r.u32();
-  if (!r.ok() || n_tallies > r.remaining() / 24) return false;
-  for (std::uint32_t i = 0; i < n_tallies; ++i) {
-    const std::uint64_t id = r.u64();
-    PendingEvent ev;
-    ev.seq = r.u64();
-    ev.when = r.i64();
-    pending_tallies_.emplace(id, ev);
-  }
-  if (!r.ok()) return false;
-
-  // Re-arm the pending timers at their exact historical queue coordinates.
-  if (window_event_.has_value()) {
-    ctx_.queue->schedule_at_seq(window_event_->when, window_event_->seq,
-                                [this] {
-                                  process_window();
-                                  start();  // re-arm the next window
-                                });
-  }
-  for (const auto& [id, ev] : pending_tallies_) {
-    const std::uint64_t round_id = id;
-    ctx_.queue->schedule_at_seq(ev.when, ev.seq,
-                                [this, round_id] { tally_round(round_id); });
-  }
-  return true;
-}
+template void ImNode::io(WriteArchive&, const ImNode&);
+template void ImNode::io(ReadArchive&, ImNode&);
 
 }  // namespace nwade::protocol

@@ -132,19 +132,16 @@ class ImNode final : public net::Node {
   }
 
   // --- checkpoint/restore (sim/checkpoint) ----------------------------------
-  /// Serializes the full automaton: FSM state, plan tables, the durable
+  /// Field list of the full automaton: FSM state, plan tables, the durable
   /// block log, every verification round with its pending tally deadline,
   /// strike/blacklist tables, courtesy-gap timers, the scheduler's
   /// reservation tables, and the pending window event's exact event-queue
-  /// coordinates.
-  void checkpoint_save(ByteWriter& w) const;
-  /// Restores onto a node constructed in resume mode (start() not called;
-  /// its sequence number burned by the caller). Re-schedules the window
-  /// event and each round's tally deadline at their original (when, seq)
-  /// positions. The block window's blocks come from `blocks`, shared with
-  /// every other holder restored through it. Returns false on malformed
-  /// input.
-  bool checkpoint_restore(ByteReader& r, chain::BlockTable& blocks);
+  /// coordinates. A read restores onto a node constructed in resume mode
+  /// (start() not called; its sequence number burned by the caller), takes
+  /// the window's blocks from the archive's BlockTable, and re-schedules the
+  /// window event and each round's tally deadline at their original
+  /// (when, seq) positions.
+  template <class Ar, class Self> static void io(Ar& ar, Self& im);
 
  private:
   struct VerificationRound {
@@ -203,10 +200,15 @@ class ImNode final : public net::Node {
 
   /// Pending event-queue coordinates for a timer this node owns. Closures
   /// cannot be serialized, so each scheduling site records (when, seq) here
-  /// and checkpoint_restore re-creates the closure at the same coordinates.
+  /// and a restore (io) re-creates the closure at the same coordinates.
   struct PendingEvent {
     std::uint64_t seq{0};
     Tick when{0};
+
+    template <class Ar, class Self> static void io(Ar& ar, Self& ev) {
+      ar.u64(ev.seq);
+      ar.i64(ev.when);
+    }
   };
 
   ImContext ctx_;

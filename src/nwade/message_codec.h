@@ -2,32 +2,28 @@
 // serialize the network's in-flight queue.
 //
 // The net layer deliberately knows nothing about concrete message types, so
-// its checkpoint hooks take encode/decode callbacks; this is the one place
-// that enumerates every kind. Encoding is a one-byte tag plus the message's
-// fields in declaration order, reusing the existing VehicleTraits /
-// VehicleStatus / Block serializers so the bytes stay canonical.
+// its checkpoint field list takes a codec; this is the one place that
+// enumerates every kind. Encoding is a one-byte tag (the kind's index in
+// message_codec.cpp's list) plus the message's own field list (messages.h).
 #pragma once
 
-#include "chain/store.h"
 #include "net/network.h"
 #include "nwade/messages.h"
 
 namespace nwade::protocol {
 
-/// Serializes one protocol message (tag + payload). Aborts on a message kind
-/// this codec does not know — a new message type must be added here before
-/// it can cross a checkpoint.
-void encode_message(ByteWriter& w, const net::Message& msg);
+/// Writes one protocol message (tag + fields). Aborts on a message kind this
+/// codec does not know — a new message type must be added to the list
+/// before it can cross a checkpoint.
+void encode_message(WriteArchive& ar, const net::Message& msg);
 
-/// Decodes one message previously written by encode_message. Returns nullptr
-/// on truncated, corrupt, or unknown-tag input (the reader's error flag is
-/// also set for truncation). Blocks are taken from `blocks`, so in-flight
-/// messages share the objects the restored stores hold.
-net::MessagePtr decode_message(ByteReader& r, chain::BlockTable& blocks);
+/// Reads one message encode_message wrote. Returns nullptr (and fails the
+/// archive) on truncated, corrupt, or unknown-tag input. Blocks come from
+/// the archive's BlockTable, so in-flight messages share the objects the
+/// restored stores hold.
+net::MessagePtr decode_message(ReadArchive& ar);
 
-/// Evidence is embedded in several messages; exposed for the protocol-state
-/// serializers that store raw Evidence values.
-void encode_evidence(ByteWriter& w, const Evidence& e);
-Evidence decode_evidence(ByteReader& r);
+inline constexpr net::Network::MessageCodec kMessageCodec{&encode_message,
+                                                          &decode_message};
 
 }  // namespace nwade::protocol

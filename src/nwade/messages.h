@@ -4,13 +4,14 @@
 // block dissemination, incident reports (Algorithm 2), verification
 // rounds, dismissals, evacuation alerts, and global reports (Algorithm 3).
 // Wire sizes approximate realistic encodings so the Fig.-7 network-load
-// experiment measures something meaningful.
+// experiment measures something meaningful. Each message's `io` is its
+// checkpoint field list (nwade/message_codec.h).
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "chain/block.h"
+#include "chain/store.h"
 #include "net/network.h"
 #include "traffic/types.h"
 
@@ -25,6 +26,13 @@ struct PlanRequest final : net::Message {
 
   std::string kind() const override { return "plan_request"; }
   std::size_t wire_size() const override { return 96; }
+
+  template <class Ar, class Self> static void io(Ar& ar, Self& m) {
+    ar.id(m.vehicle);
+    ar.i64(m.route_id);
+    ar(m.traits);
+    ar(m.status);
+  }
 };
 
 /// IM -> all: a newly packaged block of travel plans. One message object
@@ -34,6 +42,10 @@ struct BlockBroadcast final : net::Message {
 
   std::string kind() const override { return "block_broadcast"; }
   std::size_t wire_size() const override { return block ? block->wire_size() : 0; }
+
+  template <class Ar, class Self> static void io(Ar& ar, Self& m) {
+    chain::io_block(ar, m.block);
+  }
 };
 
 /// Vehicle -> peers/IM: ask for the block containing a vehicle's plan (used
@@ -46,6 +58,13 @@ struct BlockRequest final : net::Message {
 
   std::string kind() const override { return "block_request"; }
   std::size_t wire_size() const override { return 32; }
+
+  template <class Ar, class Self> static void io(Ar& ar, Self& m) {
+    ar.id(m.requester);
+    ar.id(m.plan_of);
+    ar.u64(m.seq);
+    ar.flag(m.by_seq);
+  }
 };
 
 /// Peer -> vehicle: a block answering a BlockRequest (the pointer the
@@ -58,6 +77,11 @@ struct BlockResponse final : net::Message {
   std::size_t wire_size() const override {
     return 16 + (block ? block->wire_size() : 0);
   }
+
+  template <class Ar, class Self> static void io(Ar& ar, Self& m) {
+    ar.id(m.plan_of);
+    chain::io_block(ar, m.block);
+  }
 };
 
 /// Observed evidence about a suspect: the paper's E_dagger.
@@ -66,6 +90,13 @@ struct Evidence {
   traffic::VehicleStatus observed;
   Tick observed_at{0};
   double deviation_m{0};  ///< |observed - expected| that triggered the report
+
+  template <class Ar, class Self> static void io(Ar& ar, Self& e) {
+    ar.id(e.suspect);
+    ar(e.observed);
+    ar.i64(e.observed_at);
+    ar.f64(e.deviation_m);
+  }
 };
 
 /// Vehicle -> IM: incident report IR = <E_dagger, B_y> (Algorithm 2 line 10).
@@ -80,6 +111,13 @@ struct IncidentReport final : net::Message {
 
   std::string kind() const override { return "incident_report"; }
   std::size_t wire_size() const override { return 128; }
+
+  template <class Ar, class Self> static void io(Ar& ar, Self& m) {
+    ar.id(m.reporter);
+    ar(m.evidence);
+    ar.u64(m.block_seq);
+    ar.flag(m.misbehavior_claim);
+  }
 };
 
 /// IM -> vehicles near the suspect: please run local verification.
@@ -89,6 +127,11 @@ struct VerifyRequest final : net::Message {
 
   std::string kind() const override { return "verify_request"; }
   std::size_t wire_size() const override { return 32; }
+
+  template <class Ar, class Self> static void io(Ar& ar, Self& m) {
+    ar.u64(m.request_id);
+    ar.id(m.suspect);
+  }
 };
 
 /// Vehicle -> IM: local-verification verdict.
@@ -101,6 +144,14 @@ struct VerifyResponse final : net::Message {
 
   std::string kind() const override { return "verify_response"; }
   std::size_t wire_size() const override { return 96; }
+
+  template <class Ar, class Self> static void io(Ar& ar, Self& m) {
+    ar.u64(m.request_id);
+    ar.id(m.responder);
+    ar.id(m.suspect);
+    ar.flag(m.abnormal);
+    ar(m.evidence);
+  }
 };
 
 /// IM -> reporter: the reported incident was a false alarm.
@@ -110,6 +161,11 @@ struct AlarmDismiss final : net::Message {
 
   std::string kind() const override { return "alarm_dismiss"; }
   std::size_t wire_size() const override { return 24; }
+
+  template <class Ar, class Self> static void io(Ar& ar, Self& m) {
+    ar.id(m.reporter);
+    ar.id(m.suspect);
+  }
 };
 
 /// IM -> all: confirmed threat; evacuation plans follow in the next block.
@@ -120,6 +176,12 @@ struct EvacuationAlert final : net::Message {
 
   std::string kind() const override { return "evacuation_alert"; }
   std::size_t wire_size() const override { return 80; }
+
+  template <class Ar, class Self> static void io(Ar& ar, Self& m) {
+    ar.id(m.suspect);
+    ar(m.suspect_traits);
+    ar(m.last_known);
+  }
 };
 
 /// Why a vehicle broadcast a global report (Algorithm 3's two branches plus
@@ -153,6 +215,14 @@ struct GlobalReport final : net::Message {
 
   std::string kind() const override { return "global_report"; }
   std::size_t wire_size() const override { return 96; }
+
+  template <class Ar, class Self> static void io(Ar& ar, Self& m) {
+    ar.id(m.reporter);
+    ar.enum8(m.reason, GlobalReason::kShamAlert);
+    ar.u64(m.block_seq);
+    ar.id(m.suspect);
+    ar(m.suspect_status);
+  }
 };
 
 /// IM -> neighboring IMs: cumulative confirmed-suspect snapshot (attacker
@@ -168,6 +238,12 @@ struct BlacklistGossip final : net::Message {
 
   std::string kind() const override { return "blacklist_gossip"; }
   std::size_t wire_size() const override { return 24 + 8 * suspects.size(); }
+
+  template <class Ar, class Self> static void io(Ar& ar, Self& m) {
+    ar.u32(m.origin_shard);
+    ar.i64(m.issued_at);
+    ar.ids(m.suspects);
+  }
 };
 
 }  // namespace nwade::protocol

@@ -76,6 +76,39 @@ struct Metrics {
     for (double x : xs) total += x;
     return total / static_cast<double>(xs.size());
   }
+
+  /// Field list (the checkpoint's metrics section, RunSummary records).
+  /// `wall_samples` picks whether a save carries the wall-clock vectors; a
+  /// read follows the saved flag.
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& m, bool wall_samples = true) {
+    for (auto* t : {&m.violation_start, &m.first_true_incident,
+                    &m.deviation_confirmed, &m.false_incident_injected,
+                    &m.false_incident_dismissed, &m.false_global_injected,
+                    &m.false_global_detected, &m.im_conflict_injected,
+                    &m.im_conflict_detected, &m.sham_alert_detected}) {
+      ar.opt(*t, [](auto& a, auto& tick) { a.i64(tick); });
+    }
+    for (auto* n : {&m.vehicles_spawned, &m.vehicles_exited, &m.incident_reports,
+                    &m.global_reports, &m.verify_rounds, &m.alarm_dismissals,
+                    &m.evacuation_alerts, &m.benign_self_evacuations,
+                    &m.false_alarm_evacuations, &m.malicious_reports_recorded,
+                    &m.blocks_published, &m.block_verification_failures,
+                    &m.plan_request_retries, &m.gap_block_requests,
+                    &m.degraded_entries, &m.degraded_crossings, &m.im_crashes,
+                    &m.im_restarts, &m.im_courtesy_gaps}) {
+      ar.i64(*n);
+    }
+    ar.flag(wall_samples);
+    if constexpr (Ar::kReading) {
+      m.im_package_us.clear();
+      m.vehicle_verify_us.clear();
+    }
+    if (wall_samples) {
+      ar.f64s(m.im_package_us);
+      ar.f64s(m.vehicle_verify_us);
+    }
+  }
 };
 
 }  // namespace nwade::protocol

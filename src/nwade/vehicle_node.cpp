@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <chrono>
-#include <cstdlib>
 
 #include "util/log.h"
 
@@ -597,17 +596,6 @@ std::optional<double> VehicleNode::deviation_of(const Observation& obs,
 
 void VehicleNode::report_incident(const Observation& obs, double deviation,
                                   Tick now) {
-  if (std::getenv("NWADE_DEBUG_VEHICLE")) {
-    const aim::TravelPlan* p = lookup_plan(obs.id);
-    std::fprintf(stderr,
-                 "REPORT t=%lld reporter=%llu suspect=%llu dev=%.1f plan_issued=%lld evac=%d unmanaged=%d route=%d s_exp=%.1f obs=(%.0f,%.0f) v=%.1f\n",
-                 (long long)now, (unsigned long long)id_.value,
-                 (unsigned long long)obs.id.value, deviation,
-                 p ? (long long)p->issued_at : -1, p ? (int)p->evacuation : -1,
-                 p ? (int)p->unmanaged : -1, p ? p->route_id : -1,
-                 p ? p->s_at(now) : -1.0, obs.status.position.x,
-                 obs.status.position.y, obs.status.speed_mps);
-  }
   reported_suspects_[obs.id] = now;
   auto report = std::make_shared<IncidentReport>();
   report->reporter = id_;
@@ -799,12 +787,8 @@ void VehicleNode::handle_block(const chain::BlockPtr& block_ptr, Tick now) {
 }
 
 void VehicleNode::reject_block(chain::BlockSeq seq, const std::string& why, Tick now) {
-  if (std::getenv("NWADE_DEBUG_VEHICLE")) {
-    std::fprintf(stderr, "VERIFY-FAIL t=%lld vehicle=%llu block=%llu why=%s\n",
-                 (long long)now, (unsigned long long)id_.value,
-                 (unsigned long long)seq, why.c_str());
-  }
   ctx_.metrics->block_verification_failures++;
+  trace_instant("nwade", "reject_block", now);
   if (!ctx_.metrics->im_conflict_detected) ctx_.metrics->im_conflict_detected = now;
   NWADE_LOG(kInfo) << "vehicle " << id_.value << " rejected block " << seq << " ("
                    << why << ")";
@@ -1133,22 +1117,13 @@ void VehicleNode::enter_self_evacuation(GlobalReason reason, VehicleId suspect,
     return;
   }
   set_state(VehicleState::kSelfEvacuation);
-  if (std::getenv("NWADE_DEBUG_VEHICLE")) {
-    std::fprintf(stderr, "SELF-EVAC t=%lld vehicle=%llu reason=%s suspect=%llu\n",
-                 (long long)now, (unsigned long long)id_.value,
-                 global_reason_name(reason), (unsigned long long)suspect.value);
-  }
+  trace_instant("nwade", "self_evacuation", now);
   if (attack_.role == VehicleRole::kBenign) {
     ctx_.metrics->benign_self_evacuations++;
     if (suspect.valid() && !ctx_.malicious_ids->contains(suspect)) {
       // Evacuating because of a campaign against an innocent vehicle: this is
       // exactly the false-alarm "trigger" Table II measures.
       ctx_.metrics->false_alarm_evacuations++;
-      if (std::getenv("NWADE_DEBUG_VEHICLE")) {
-        std::fprintf(stderr, "FALSE-EVAC t=%lld vehicle=%llu reason=%s suspect=%llu\n",
-                     (long long)now, (unsigned long long)id_.value,
-                     global_reason_name(reason), (unsigned long long)suspect.value);
-      }
     }
     if (suspect.valid() && ctx_.malicious_ids->contains(suspect) &&
         !ctx_.metrics->deviation_confirmed) {
@@ -1177,168 +1152,51 @@ void VehicleNode::enter_self_evacuation(GlobalReason reason, VehicleId suspect,
 
 // --- checkpoint/restore ------------------------------------------------------
 
-namespace {
-
-void save_id_set(ByteWriter& w, const std::set<VehicleId>& ids) {
-  w.u32(static_cast<std::uint32_t>(ids.size()));
-  for (const VehicleId id : ids) w.u64(id.value);
+template <class Ar, class Self>
+void VehicleNode::io(Ar& ar, Self& v) {
+  ar.enum8(v.state_, VehicleState::kExited);
+  ar.f64(v.s_);
+  ar.f64(v.v_);
+  ar.f64(v.lateral_offset_);
+  ar(v.store_);
+  ar.maybe(v.plan_, [](auto& a, auto& plan) { a.sized(plan); });
+  ar.map(v.extra_plans_, 9, [](auto& a, auto& id, auto& plan) {
+    a.id(id);
+    a.sized(plan);
+  });
+  ar.tick_map(v.reported_suspects_);
+  ar.tick_map(v.block_requests_inflight_);
+  ar.tick_map(v.dismissed_suspects_);
+  ar.ids(v.self_evac_announced_);
+  ar.u64s(v.pending_conflict_claims_);
+  ar.ids(v.denounced_reporters_);
+  ar.map(v.global_reporters_per_suspect_, 12, [](auto& a, auto& suspect, auto& reporters) {
+    a.id(suspect);
+    a.ids(reporters);
+  });
+  ar.ids(v.im_distrust_reporters_);
+  ar.opt(v.sham_check_suspect_, [](auto& a, auto& id) { a.id(id); });
+  ar.i64(v.sham_check_after_);
+  ar.ids(v.confirmed_threats_);
+  ar.i64(v.awaiting_deadline_);
+  ar.id(v.awaiting_suspect_);
+  ar.i64(v.awaiting_retries_);
+  ar.i64(v.plan_retries_);
+  ar.i64(v.next_plan_request_at_);
+  ar.i64(v.last_block_seen_at_);
+  ar.flag(v.degraded_committed_);
+  ar.i64(v.next_clear_check_at_);
+  ar.f64(v.shoulder_side_);
+  ar.u64s(v.answered_verify_rounds_);
+  ar.i64(v.last_beacon_at_);
+  ar.enum8(v.last_evac_reason_, GlobalReason::kShamAlert);
+  ar.id(v.last_evac_suspect_);
+  ar.flag(v.attack_fired_);
+  ar.flag(v.global_report_sent_);
+  ar.i64(v.sensed_neighbours_);
+  if constexpr (Ar::kReading) v.set_state(v.state_);  // mirrors the SoA flag
 }
-
-bool load_id_set(ByteReader& r, std::set<VehicleId>& out) {
-  out.clear();
-  const std::uint32_t n = r.u32();
-  if (!r.ok() || n > r.remaining() / 8) return false;
-  for (std::uint32_t i = 0; i < n; ++i) out.insert(VehicleId{r.u64()});
-  return r.ok();
-}
-
-void save_tick_map(ByteWriter& w, const std::map<VehicleId, Tick>& m) {
-  w.u32(static_cast<std::uint32_t>(m.size()));
-  for (const auto& [id, t] : m) {
-    w.u64(id.value);
-    w.i64(t);
-  }
-}
-
-bool load_tick_map(ByteReader& r, std::map<VehicleId, Tick>& out) {
-  out.clear();
-  const std::uint32_t n = r.u32();
-  if (!r.ok() || n > r.remaining() / 16) return false;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const VehicleId id{r.u64()};
-    out[id] = r.i64();
-  }
-  return r.ok();
-}
-
-bool load_plan(ByteReader& r, std::optional<aim::TravelPlan>& out) {
-  const Bytes raw = r.bytes();
-  if (!r.ok()) return false;
-  out = aim::TravelPlan::deserialize(raw);
-  return out.has_value();
-}
-
-}  // namespace
-
-void VehicleNode::checkpoint_save(ByteWriter& w) const {
-  w.u8(static_cast<std::uint8_t>(state_));
-  w.f64(s_);
-  w.f64(v_);
-  w.f64(lateral_offset_);
-  store_.checkpoint_save(w);
-  w.u8(plan_.has_value() ? 1 : 0);
-  if (plan_) w.bytes(plan_->serialize());
-  w.u32(static_cast<std::uint32_t>(extra_plans_.size()));
-  for (const auto& [id, plan] : extra_plans_) {
-    w.u64(id.value);
-    w.bytes(plan.serialize());
-  }
-  save_tick_map(w, reported_suspects_);
-  save_tick_map(w, block_requests_inflight_);
-  save_tick_map(w, dismissed_suspects_);
-  save_id_set(w, self_evac_announced_);
-  w.u32(static_cast<std::uint32_t>(pending_conflict_claims_.size()));
-  for (const chain::BlockSeq seq : pending_conflict_claims_) w.u64(seq);
-  save_id_set(w, denounced_reporters_);
-  w.u32(static_cast<std::uint32_t>(global_reporters_per_suspect_.size()));
-  for (const auto& [suspect, reporters] : global_reporters_per_suspect_) {
-    w.u64(suspect.value);
-    save_id_set(w, reporters);
-  }
-  save_id_set(w, im_distrust_reporters_);
-  w.u8(sham_check_suspect_.has_value() ? 1 : 0);
-  w.u64(sham_check_suspect_ ? sham_check_suspect_->value : 0);
-  w.i64(sham_check_after_);
-  save_id_set(w, confirmed_threats_);
-  w.i64(awaiting_deadline_);
-  w.u64(awaiting_suspect_.value);
-  w.i64(awaiting_retries_);
-  w.i64(plan_retries_);
-  w.i64(next_plan_request_at_);
-  w.i64(last_block_seen_at_);
-  w.u8(degraded_committed_ ? 1 : 0);
-  w.i64(next_clear_check_at_);
-  w.f64(shoulder_side_);
-  w.u32(static_cast<std::uint32_t>(answered_verify_rounds_.size()));
-  for (const std::uint64_t round : answered_verify_rounds_) w.u64(round);
-  w.i64(last_beacon_at_);
-  w.u8(static_cast<std::uint8_t>(last_evac_reason_));
-  w.u64(last_evac_suspect_.value);
-  w.u8(attack_fired_ ? 1 : 0);
-  w.u8(global_report_sent_ ? 1 : 0);
-  w.i64(sensed_neighbours_);
-}
-
-bool VehicleNode::checkpoint_restore(ByteReader& r, chain::BlockTable& blocks) {
-  const std::uint8_t state = r.u8();
-  if (!r.ok() || state > static_cast<std::uint8_t>(VehicleState::kExited)) {
-    return false;
-  }
-  set_state(static_cast<VehicleState>(state));
-  s_ = r.f64();
-  v_ = r.f64();
-  lateral_offset_ = r.f64();
-  if (!store_.checkpoint_restore(r, blocks)) return false;
-  plan_.reset();
-  if (r.u8() != 0 && !load_plan(r, plan_)) return false;
-  extra_plans_.clear();
-  const std::uint32_t n_extra = r.u32();
-  if (!r.ok() || n_extra > r.remaining() / 9) return false;
-  for (std::uint32_t i = 0; i < n_extra; ++i) {
-    const VehicleId id{r.u64()};
-    std::optional<aim::TravelPlan> plan;
-    if (!load_plan(r, plan)) return false;
-    extra_plans_.emplace(id, std::move(*plan));
-  }
-  if (!load_tick_map(r, reported_suspects_)) return false;
-  if (!load_tick_map(r, block_requests_inflight_)) return false;
-  if (!load_tick_map(r, dismissed_suspects_)) return false;
-  if (!load_id_set(r, self_evac_announced_)) return false;
-  pending_conflict_claims_.clear();
-  const std::uint32_t n_claims = r.u32();
-  if (!r.ok() || n_claims > r.remaining() / 8) return false;
-  for (std::uint32_t i = 0; i < n_claims; ++i) {
-    pending_conflict_claims_.insert(r.u64());
-  }
-  if (!load_id_set(r, denounced_reporters_)) return false;
-  global_reporters_per_suspect_.clear();
-  const std::uint32_t n_suspects = r.u32();
-  if (!r.ok() || n_suspects > r.remaining() / 12) return false;
-  for (std::uint32_t i = 0; i < n_suspects; ++i) {
-    const VehicleId suspect{r.u64()};
-    if (!load_id_set(r, global_reporters_per_suspect_[suspect])) return false;
-  }
-  if (!load_id_set(r, im_distrust_reporters_)) return false;
-  const bool has_sham = r.u8() != 0;
-  const VehicleId sham{r.u64()};
-  sham_check_suspect_ =
-      has_sham ? std::optional<VehicleId>(sham) : std::nullopt;
-  sham_check_after_ = r.i64();
-  if (!load_id_set(r, confirmed_threats_)) return false;
-  awaiting_deadline_ = r.i64();
-  awaiting_suspect_ = VehicleId{r.u64()};
-  awaiting_retries_ = static_cast<int>(r.i64());
-  plan_retries_ = static_cast<int>(r.i64());
-  next_plan_request_at_ = r.i64();
-  last_block_seen_at_ = r.i64();
-  degraded_committed_ = r.u8() != 0;
-  next_clear_check_at_ = r.i64();
-  shoulder_side_ = r.f64();
-  answered_verify_rounds_.clear();
-  const std::uint32_t n_rounds = r.u32();
-  if (!r.ok() || n_rounds > r.remaining() / 8) return false;
-  for (std::uint32_t i = 0; i < n_rounds; ++i) {
-    answered_verify_rounds_.insert(r.u64());
-  }
-  last_beacon_at_ = r.i64();
-  const std::uint8_t reason = r.u8();
-  if (!r.ok() || reason > 3) return false;
-  last_evac_reason_ = static_cast<GlobalReason>(reason);
-  last_evac_suspect_ = VehicleId{r.u64()};
-  attack_fired_ = r.u8() != 0;
-  global_report_sent_ = r.u8() != 0;
-  sensed_neighbours_ = static_cast<int>(r.i64());
-  return r.ok();
-}
+template void VehicleNode::io(WriteArchive&, const VehicleNode&);
+template void VehicleNode::io(ReadArchive&, VehicleNode&);
 
 }  // namespace nwade::protocol

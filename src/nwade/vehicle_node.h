@@ -63,6 +63,13 @@ struct VehicleAttackProfile {
   Tick trigger_at{0};
   DeviationMode deviation{DeviationMode::kAccelerate};
   FalseReportKind false_report{FalseReportKind::kIncident};
+
+  template <class Ar, class Self> static void io(Ar& ar, Self& p) {
+    ar.enum8(p.role, VehicleRole::kFalseReporter);
+    ar.i64(p.trigger_at);
+    ar.enum8(p.deviation, DeviationMode::kBrake);
+    ar.enum8(p.false_report, FalseReportKind::kWrongPlans);
+  }
 };
 
 /// Shared, world-owned services handed to every vehicle.
@@ -170,17 +177,14 @@ class VehicleNode final : public net::Node {
   void seed_speed(double v_mps) { v_ = v_mps; }
 
   // --- checkpoint/restore (sim/checkpoint) -----------------------------------
-  /// Serializes all dynamic state: automaton state, kinematics, the block
+  /// Field list of all dynamic state: automaton state, kinematics, the block
   /// store, plan caches, suspect/cooldown tables, retransmission timers and
   /// attack latches. Constructor arguments (id, route, traits, spawn time,
   /// attack profile) are NOT included — the world records those alongside so
-  /// it can reconstruct the node before restoring onto it.
-  void checkpoint_save(ByteWriter& w) const;
-  /// Restores onto a freshly constructed node; start() must not be called on
-  /// a restored vehicle (its spawn already happened before the checkpoint).
-  /// The store's blocks come from `blocks`, shared with every other holder
-  /// restored through it. Returns false on malformed input.
-  bool checkpoint_restore(ByteReader& r, chain::BlockTable& blocks);
+  /// it can reconstruct the node before reading onto it. start() must not be
+  /// called on a restored vehicle (its spawn happened before the
+  /// checkpoint); its store's blocks come from the archive's BlockTable.
+  template <class Ar, class Self> static void io(Ar& ar, Self& v);
 
  private:
   /// Records an instant on the detection timeline, tagged with this

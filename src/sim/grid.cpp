@@ -6,7 +6,6 @@
 
 #include "crypto/sha256.h"
 #include "sim/checkpoint.h"
-#include "util/crc32.h"
 
 namespace nwade::sim {
 
@@ -333,91 +332,86 @@ std::string Grid::summary_digest(const GridSummary& s) {
 
 // --- checkpoint/restore ------------------------------------------------------
 
+template <class Ar, class Self>
+void GridConfig::io(Ar& ar, Self& g) {
+  ar.u32(g.rows);
+  ar.u32(g.cols);
+  ar.u64(g.seed);
+  ar.i64(g.exchange_every_ms);
+  ar.i64(g.gossip_every_ms);
+  ar.i64(g.max_hops);
+  ar.i64(g.attack_shard);
+  auto& e = g.edge;
+  ar.i64(e.base_latency_ms);
+  ar.i64(e.jitter_ms);
+  ar.f64(e.ge_p_good_to_bad);
+  ar.f64(e.ge_p_bad_to_good);
+  ar.f64(e.ge_loss_good);
+  ar.f64(e.ge_loss_bad);
+  ar.seq(e.outages, 16, [](auto& a, auto& o) {
+    a.i64(o.from);
+    a.i64(o.until);
+  });
+  ar(g.shard);  // rejects step_ms <= 0
+  if constexpr (Ar::kReading) {
+    if (!ar.ok()) return;
+    if (g.rows < 1 || g.cols < 1 || g.rows > 64 || g.cols > 64 ||
+        g.rows * g.cols > 64 || g.exchange_every_ms <= 0 ||
+        g.exchange_every_ms % g.shard.step_ms != 0 || g.gossip_every_ms <= 0 ||
+        g.gossip_every_ms % g.exchange_every_ms != 0) {
+      ar.fail();
+    }
+  }
+}
+
+template <class Ar, class Self>
+void Grid::state_io(Ar& ar, Self& grid) {
+  ar.i64(grid.now_);
+  ar.u64(grid.handoffs_delivered_);
+  ar.u64(grid.gossip_imports_);
+  ar.u64(grid.retired_boundary_);
+  ar.u64(grid.retired_hops_);
+  ar.u64(grid.retired_revisit_);
+  ar.map(grid.roam_, 17, [](auto& a, auto& id, auto& ro) {
+    a.id(id);
+    a.u64(ro.visited_mask);
+    a.u8(ro.hops);
+  });
+  ar.fixed(grid.edges_, [](auto& a, auto& e) {
+    a(e.channel);
+    a.u64(e.next_seq);
+    a.seq(e.handoffs, 48, [](auto& b, auto& h) {
+      b.u64(h.seq);
+      b.i64(h.deliver_at);
+      b.id(h.id);
+      b.i64(h.route_id);
+      b.f64(h.speed_mps);
+      b(h.traits);
+      b(h.attack);
+      b.flag(h.legacy);
+    });
+    a.seq(e.gossip, 20, [](auto& b, auto& g) {
+      b.u64(g.seq);
+      b.i64(g.deliver_at);
+      b.ids(g.suspects);
+    });
+  });
+}
+
 Bytes Grid::checkpoint_save() const {
   // Exchange boundaries are the only instants where every shard's exit log
   // is drained (World exit logs are deliberately not checkpointed).
   assert(now_ % config_.exchange_every_ms == 0);
 
-  std::vector<std::pair<std::string, Bytes>> sections;
-  {
-    ByteWriter w;
-    // Static topology/cadence (grid_threads deliberately excluded — the
-    // restoring process picks its own; it is a wall-clock knob).
-    w.u32(static_cast<std::uint32_t>(config_.rows));
-    w.u32(static_cast<std::uint32_t>(config_.cols));
-    w.u64(config_.seed);
-    w.i64(config_.exchange_every_ms);
-    w.i64(config_.gossip_every_ms);
-    w.i64(config_.max_hops);
-    w.i64(config_.attack_shard);
-    const net::EdgeFaultConfig& ef = config_.edge;
-    w.i64(ef.base_latency_ms);
-    w.i64(ef.jitter_ms);
-    w.f64(ef.ge_p_good_to_bad);
-    w.f64(ef.ge_p_bad_to_good);
-    w.f64(ef.ge_loss_good);
-    w.f64(ef.ge_loss_bad);
-    w.u32(static_cast<std::uint32_t>(ef.outages.size()));
-    for (const net::EdgeOutage& o : ef.outages) {
-      w.i64(o.from);
-      w.i64(o.until);
-    }
-    checkpoint::save_scenario_config(w, config_.shard);
-    // Dynamic state.
-    w.i64(now_);
-    w.u64(handoffs_delivered_);
-    w.u64(gossip_imports_);
-    w.u64(retired_boundary_);
-    w.u64(retired_hops_);
-    w.u64(retired_revisit_);
-    w.u32(static_cast<std::uint32_t>(roam_.size()));
-    for (const auto& [id, ro] : roam_) {
-      w.u64(id.value);
-      w.u64(ro.visited_mask);
-      w.u8(ro.hops);
-    }
-    w.u32(static_cast<std::uint32_t>(edges_.size()));
-    for (const Edge& e : edges_) {
-      e.channel.checkpoint_save(w);
-      w.u64(e.next_seq);
-      w.u32(static_cast<std::uint32_t>(e.handoffs.size()));
-      for (const PendingHandoff& h : e.handoffs) {
-        w.u64(h.seq);
-        w.i64(h.deliver_at);
-        w.u64(h.id.value);
-        w.i64(h.route_id);
-        w.f64(h.speed_mps);
-        h.traits.serialize(w);
-        w.u8(static_cast<std::uint8_t>(h.attack.role));
-        w.i64(h.attack.trigger_at);
-        w.u8(static_cast<std::uint8_t>(h.attack.deviation));
-        w.u8(static_cast<std::uint8_t>(h.attack.false_report));
-        w.u8(h.legacy ? 1 : 0);
-      }
-      w.u32(static_cast<std::uint32_t>(e.gossip.size()));
-      for (const PendingGossip& g : e.gossip) {
-        w.u64(g.seq);
-        w.i64(g.deliver_at);
-        w.u32(static_cast<std::uint32_t>(g.suspects.size()));
-        for (const VehicleId s : g.suspects) w.u64(s.value);
-      }
-    }
-    sections.emplace_back(kSectionGrid, w.take());
-  }
+  checkpoint::SectionWriter out;
+  out.add(kSectionGrid, [&](WriteArchive& ar) {
+    ar(config_);
+    state_io(ar, *this);
+  });
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    sections.emplace_back("shard." + std::to_string(i),
-                          shards_[i]->checkpoint_save());
+    out.add_bytes("shard." + std::to_string(i), shards_[i]->checkpoint_save());
   }
-
-  ByteWriter out;
-  out.str(kGridCheckpointSchema);
-  out.u32(static_cast<std::uint32_t>(sections.size()));
-  for (const auto& [name, payload] : sections) {
-    out.str(name);
-    out.u32(util::crc32(payload));
-    out.bytes(payload);
-  }
-  return out.take();
+  return out.finish(kGridCheckpointSchema);
 }
 
 std::unique_ptr<Grid> Grid::checkpoint_restore(const Bytes& blob,
@@ -428,77 +422,30 @@ std::unique_ptr<Grid> Grid::checkpoint_restore(const Bytes& blob,
     return nullptr;
   };
 
-  ByteReader r(blob);
-  if (r.str() != kGridCheckpointSchema) {
-    return fail("not an nwade-grid-ckpt-v1 checkpoint");
+  checkpoint::SectionReader in;
+  if (!in.parse(blob, kGridCheckpointSchema, kGridMaxSections, error)) {
+    return nullptr;
   }
-  const std::uint32_t n_sections = r.u32();
-  if (!r.ok() || n_sections > kGridMaxSections) {
-    return fail("malformed section table");
-  }
-  std::map<std::string, Bytes> sections;
-  for (std::uint32_t i = 0; i < n_sections; ++i) {
-    std::string name = r.str();
-    const std::uint32_t crc = r.u32();
-    Bytes payload = r.bytes();
-    if (!r.ok()) return fail("truncated section '" + name + "'");
-    if (util::crc32(payload) != crc) {
-      return fail("CRC mismatch in section '" + name + "'");
-    }
-    sections[std::move(name)] = std::move(payload);
-  }
-  if (!r.at_end()) return fail("trailing bytes after section table");
-
-  const auto grid_it = sections.find(kSectionGrid);
-  if (grid_it == sections.end()) return fail("missing grid section");
-  ByteReader g(grid_it->second);
+  const Bytes* section = in.find(kSectionGrid);
+  if (section == nullptr) return fail("missing grid section");
+  ByteReader g(*section);
+  ReadArchive ar(g);
 
   GridConfig cfg;
-  cfg.rows = static_cast<int>(g.u32());
-  cfg.cols = static_cast<int>(g.u32());
-  cfg.seed = g.u64();
-  cfg.exchange_every_ms = g.i64();
-  cfg.gossip_every_ms = g.i64();
-  cfg.max_hops = static_cast<int>(g.i64());
-  cfg.attack_shard = static_cast<int>(g.i64());
-  cfg.edge.base_latency_ms = g.i64();
-  cfg.edge.jitter_ms = g.i64();
-  cfg.edge.ge_p_good_to_bad = g.f64();
-  cfg.edge.ge_p_bad_to_good = g.f64();
-  cfg.edge.ge_loss_good = g.f64();
-  cfg.edge.ge_loss_bad = g.f64();
-  const std::uint32_t n_outages = g.u32();
-  if (!g.ok() || n_outages > g.remaining() / 16) {
-    return fail("malformed grid section");
-  }
-  for (std::uint32_t i = 0; i < n_outages; ++i) {
-    net::EdgeOutage o;
-    o.from = g.i64();
-    o.until = g.i64();
-    cfg.edge.outages.push_back(o);
-  }
-  if (!checkpoint::load_scenario_config(g, cfg.shard)) {
-    return fail("malformed grid section");
-  }
+  ar(cfg);
+  if (!ar.ok()) return fail("malformed grid section");
   cfg.grid_threads = grid_threads;
-  if (!g.ok() || cfg.rows < 1 || cfg.cols < 1 || cfg.rows * cfg.cols > 64 ||
-      cfg.shard.step_ms <= 0 || cfg.exchange_every_ms <= 0 ||
-      cfg.exchange_every_ms % cfg.shard.step_ms != 0 ||
-      cfg.gossip_every_ms <= 0 ||
-      cfg.gossip_every_ms % cfg.exchange_every_ms != 0) {
-    return fail("malformed grid section");
-  }
 
   auto grid = std::unique_ptr<Grid>(new Grid(std::move(cfg), false));
   const int n = grid->config_.rows * grid->config_.cols;
   grid->shards_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    const auto it = sections.find("shard." + std::to_string(i));
-    if (it == sections.end()) {
+    const Bytes* shard = in.find("shard." + std::to_string(i));
+    if (shard == nullptr) {
       return fail("missing shard." + std::to_string(i) + " section");
     }
     std::string shard_error;
-    std::unique_ptr<World> w = World::checkpoint_restore(it->second, &shard_error);
+    std::unique_ptr<World> w = World::checkpoint_restore(*shard, &shard_error);
     if (!w) {
       return fail("shard." + std::to_string(i) + ": " + shard_error);
     }
@@ -506,79 +453,8 @@ std::unique_ptr<Grid> Grid::checkpoint_restore(const Bytes& blob,
     grid->shards_.push_back(std::move(w));
   }
 
-  grid->now_ = g.i64();
-  grid->handoffs_delivered_ = g.u64();
-  grid->gossip_imports_ = g.u64();
-  grid->retired_boundary_ = g.u64();
-  grid->retired_hops_ = g.u64();
-  grid->retired_revisit_ = g.u64();
-  const std::uint32_t n_roam = g.u32();
-  if (!g.ok() || n_roam > g.remaining() / 17) {
-    return fail("malformed grid section");
-  }
-  for (std::uint32_t i = 0; i < n_roam; ++i) {
-    const VehicleId id{g.u64()};
-    Roam ro;
-    ro.visited_mask = g.u64();
-    ro.hops = g.u8();
-    grid->roam_[id] = ro;
-  }
-  const std::uint32_t n_edges = g.u32();
-  if (!g.ok() || n_edges != grid->edges_.size()) {
-    return fail("malformed grid section (edge count mismatch)");
-  }
-  for (Edge& e : grid->edges_) {
-    if (!e.channel.checkpoint_restore(g)) {
-      return fail("malformed grid section (edge channel)");
-    }
-    e.next_seq = g.u64();
-    const std::uint32_t n_handoffs = g.u32();
-    if (!g.ok() || n_handoffs > g.remaining() / 48) {
-      return fail("malformed grid section (handoff queue)");
-    }
-    e.handoffs.reserve(n_handoffs);
-    for (std::uint32_t i = 0; i < n_handoffs; ++i) {
-      PendingHandoff h;
-      h.seq = g.u64();
-      h.deliver_at = g.i64();
-      h.id = VehicleId{g.u64()};
-      h.route_id = static_cast<int>(g.i64());
-      h.speed_mps = g.f64();
-      h.traits = traffic::VehicleTraits::deserialize(g);
-      const std::uint8_t role = g.u8();
-      if (!g.ok() || role > static_cast<std::uint8_t>(
-                                protocol::VehicleRole::kFalseReporter)) {
-        return fail("malformed grid section (handoff record)");
-      }
-      h.attack.role = static_cast<protocol::VehicleRole>(role);
-      h.attack.trigger_at = g.i64();
-      h.attack.deviation = static_cast<protocol::DeviationMode>(g.u8() & 1);
-      h.attack.false_report =
-          static_cast<protocol::FalseReportKind>(g.u8() & 1);
-      h.legacy = g.u8() != 0;
-      e.handoffs.push_back(std::move(h));
-    }
-    const std::uint32_t n_gossip = g.u32();
-    if (!g.ok() || n_gossip > g.remaining() / 20) {
-      return fail("malformed grid section (gossip queue)");
-    }
-    e.gossip.reserve(n_gossip);
-    for (std::uint32_t i = 0; i < n_gossip; ++i) {
-      PendingGossip gp;
-      gp.seq = g.u64();
-      gp.deliver_at = g.i64();
-      const std::uint32_t n_suspects = g.u32();
-      if (!g.ok() || n_suspects > g.remaining() / 8) {
-        return fail("malformed grid section (gossip packet)");
-      }
-      gp.suspects.reserve(n_suspects);
-      for (std::uint32_t k = 0; k < n_suspects; ++k) {
-        gp.suspects.push_back(VehicleId{g.u64()});
-      }
-      e.gossip.push_back(std::move(gp));
-    }
-  }
-  if (!g.ok() || !g.at_end()) return fail("malformed grid section");
+  state_io(ar, *grid);
+  if (!ar.ok() || !g.at_end()) return fail("malformed grid section");
   if (grid->now_ < 0 || grid->now_ % grid->config_.exchange_every_ms != 0) {
     return fail("grid checkpoint not at an exchange boundary");
   }

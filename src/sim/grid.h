@@ -66,6 +66,11 @@ struct GridConfig {
   int grid_threads{1};
   /// Fault/latency template applied to every boundary edge.
   net::EdgeFaultConfig edge;
+
+  /// Field list of the checkpoint's static topology and cadence
+  /// (grid_threads excluded: the restoring process picks its own, a
+  /// wall-clock knob). A read rejects shapes and cadences no grid can run.
+  template <class Ar, class Self> static void io(Ar& ar, Self& g);
 };
 
 /// Aggregated outcome of a grid run.
@@ -176,6 +181,9 @@ class Grid {
   };
 
   Grid(GridConfig config, bool construct_worlds);
+  /// Field list of the grid section's dynamic state, after the config:
+  /// counters, the roam table, and every edge's channel and queues.
+  template <class Ar, class Self> static void state_io(Ar& ar, Self& grid);
 
   std::size_t index_of(int row, int col) const;
   void build_edges();

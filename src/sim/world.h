@@ -92,6 +92,12 @@ struct ScenarioConfig {
   /// world re-reserves identically and node-held row references never
   /// dangle (traffic::VehicleColumns::add_row asserts on spare capacity).
   std::uint64_t extra_vehicle_capacity{0};
+
+  /// Field list of every knob above but step_threads (the registry/tracer
+  /// injection pointers inside are reconstructed, not stored). A read
+  /// rejects values no run can start from: step_ms <= 0, and a
+  /// vehicles_per_minute that is not finite and > 0 (sim/checkpoint.cpp).
+  template <class Ar, class Self> static void io(Ar& ar, Self& c);
 };
 
 /// Aggregated outcome of one run.
@@ -108,7 +114,18 @@ struct RunSummary {
   int min_ground_truth_gap_violations{0};  ///< pairs observed closer than 1.5 m
   int legacy_spawned{0};
   int legacy_exited{0};
+
+  /// Field list (campaign progress records, run_summary_digest): maps are
+  /// written key-sorted and floats as IEEE-754 bit patterns, so equal
+  /// summaries give equal bytes. `wall_samples` as in Metrics::io.
+  template <class Ar, class Self>
+  static void io(Ar& ar, Self& s, bool wall_samples = true);
 };
+
+namespace checkpoint {
+class SectionReader;
+struct TimeSection;
+}  // namespace checkpoint
 
 /// One deterministic simulation run.
 class World final : public protocol::SensorProvider {
@@ -245,11 +262,12 @@ class World final : public protocol::SensorProvider {
   /// therefore same-tick ordering — line up exactly with the original run.
   World(ScenarioConfig config, Tick resume_t);
 
-  /// Applies the named checkpoint sections onto a resume-mode-constructed
-  /// world. Telemetry is applied last (construction re-touches gauges), the
-  /// queue's sequence counter last of all.
-  bool apply_checkpoint(const std::map<std::string, Bytes>& sections,
-                        std::string* error);
+  /// Applies the checkpoint sections onto a resume-mode-constructed world
+  /// (`time` is the already-parsed time section). Telemetry is applied last
+  /// (construction re-touches gauges), the queue's sequence counter last of
+  /// all.
+  bool apply_checkpoint(const checkpoint::SectionReader& in,
+                        checkpoint::TimeSection& time, std::string* error);
 
   /// A legacy (non-communicating) vehicle: pure physics, no protocol.
   struct LegacyVehicle {
@@ -259,6 +277,15 @@ class World final : public protocol::SensorProvider {
     double v{0};
     double cruise{0};
     bool exited{false};
+
+    template <class Ar, class Self> static void io(Ar& ar, Self& l) {
+      ar.i64(l.route_id);
+      ar(l.traits);
+      ar.f64(l.s);
+      ar.f64(l.v);
+      ar.f64(l.cruise);
+      ar.flag(l.exited);
+    }
   };
 
   void assign_attack_roles(std::vector<traffic::Arrival>& arrivals);

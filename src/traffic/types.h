@@ -36,19 +36,11 @@ struct VehicleTraits {
 
   bool operator==(const VehicleTraits&) const = default;
 
-  void serialize(ByteWriter& w) const {
-    w.u8(brand);
-    w.u8(model);
-    w.u8(color);
-    w.f64(length_m);
-  }
-  static VehicleTraits deserialize(ByteReader& r) {
-    VehicleTraits t;
-    t.brand = r.u8();
-    t.model = r.u8();
-    t.color = r.u8();
-    t.length_m = r.f64();
-    return t;
+  template <class Ar, class Self> static void io(Ar& ar, Self& t) {
+    ar.u8(t.brand);
+    ar.u8(t.model);
+    ar.u8(t.color);
+    ar.f64(t.length_m);
   }
 };
 
@@ -58,19 +50,11 @@ struct VehicleStatus {
   double speed_mps{0};
   double heading_rad{0};
 
-  void serialize(ByteWriter& w) const {
-    w.f64(position.x);
-    w.f64(position.y);
-    w.f64(speed_mps);
-    w.f64(heading_rad);
-  }
-  static VehicleStatus deserialize(ByteReader& r) {
-    VehicleStatus s;
-    s.position.x = r.f64();
-    s.position.y = r.f64();
-    s.speed_mps = r.f64();
-    s.heading_rad = r.f64();
-    return s;
+  template <class Ar, class Self> static void io(Ar& ar, Self& s) {
+    ar.f64(s.position.x);
+    ar.f64(s.position.y);
+    ar.f64(s.speed_mps);
+    ar.f64(s.heading_rad);
   }
 };
 

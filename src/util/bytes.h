@@ -26,13 +26,9 @@ class ByteWriter {
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
 
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void u32(std::uint32_t v) { append_le(v); }
 
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void u64(std::uint64_t v) { append_le(v); }
 
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
@@ -60,6 +56,18 @@ class ByteWriter {
   Bytes take() { return std::move(buf_); }
 
  private:
+  /// Appends `v` little-endian with one resize; a push_back per byte is
+  /// several times slower once the writer sits behind an archive's calls.
+  template <class U> void append_le(U v) {
+    std::uint8_t out[sizeof(U)];
+    for (std::size_t i = 0; i < sizeof(U); ++i) {
+      out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    const std::size_t at = buf_.size();
+    buf_.resize(at + sizeof(U));
+    std::memcpy(buf_.data() + at, out, sizeof(U));
+  }
+
   Bytes buf_;
 };
 
@@ -126,6 +134,8 @@ class ByteReader {
   }
 
   bool ok() const { return ok_; }
+  /// Marks the input malformed; like a failed read, every later read fails.
+  void fail() { ok_ = false; }
   bool at_end() const { return pos_ == data_.size(); }
   /// Bytes left to read. Safe to call in any state.
   std::size_t remaining() const { return data_.size() - pos_; }

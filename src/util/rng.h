@@ -55,6 +55,14 @@ class Rng {
   State state() const;
   void set_state(const State& st);
 
+  /// Field list: the State, words first.
+  template <class Ar, class Self> static void io(Ar& ar, Self& rng) {
+    State st = rng.state();
+    for (std::uint64_t& word : st.s) ar.u64(word);
+    ar.u64(st.seed);
+    if constexpr (Ar::kReading) rng.set_state(st);
+  }
+
  private:
   std::uint64_t s_[4];
   std::uint64_t seed_;

@@ -169,6 +169,18 @@ struct MetricsSnapshot {
   bool empty() const {
     return counters.empty() && gauges.empty() && histograms.empty();
   }
+  /// Field list (the checkpoint's telemetry section, RunSummary records).
+  template <class Ar, class Self> static void io(Ar& ar, Self& s) {
+    ar.counts(s.counters);
+    ar.counts(s.gauges);
+    ar.map(s.histograms, 28, [](auto& a, auto& name, auto& h) {
+      a.str(name);
+      a.i64s(h.upper_edges);
+      a.i64s(h.bucket_counts);
+      a.i64(h.count);
+      a.i64(h.sum);
+    });
+  }
   /// Deterministic multi-line JSON (sorted keys, integer values, no floats).
   std::string json(const std::string& indent = "") const;
   /// Same content on one line — for embedding in row-per-line exports

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace nwade::aim {
 namespace {
 
@@ -97,6 +99,25 @@ TEST(TravelPlan, DeserializeRejectsCorruptData) {
   EXPECT_FALSE(TravelPlan::deserialize(Bytes{}).has_value());
   Bytes garbage(10, 0xff);
   EXPECT_FALSE(TravelPlan::deserialize(garbage).has_value());
+}
+
+TEST(TravelPlan, DeserializeRejectsStartsOutsideSimTime) {
+  // Honest plans start at sim times and never step back; a decoded plan
+  // whose starts do would overflow s_at()'s `t - start`.
+  constexpr Tick kMin = std::numeric_limits<Tick>::min();
+  TravelPlan p = simple_plan(VehicleId{1}, 0, 10.0);
+  p.segments = {PlanSegment{0, 0, 10.0}, PlanSegment{kMin, 5, 10.0}};
+  EXPECT_FALSE(TravelPlan::deserialize(p.serialize()).has_value());
+  p.segments = {PlanSegment{kMin, 0, 10.0}};
+  EXPECT_FALSE(TravelPlan::deserialize(p.serialize()).has_value());
+  p.segments = {PlanSegment{0, 0, 10.0}, PlanSegment{Tick{1} << 53, 5, 10.0}};
+  EXPECT_FALSE(TravelPlan::deserialize(p.serialize()).has_value());
+  // Equal and increasing starts up to 2^53 - 1 are honest and keep their bits.
+  p.segments = {PlanSegment{0, 0, 10.0}, PlanSegment{0, 0, 5.0},
+                PlanSegment{(Tick{1} << 53) - 1, 5, 10.0}};
+  const auto back = TravelPlan::deserialize(p.serialize());
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->serialize(), p.serialize());
 }
 
 TEST(TravelPlan, SerializationIsCanonical) {

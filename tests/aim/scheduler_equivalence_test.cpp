@@ -17,7 +17,7 @@
 #include "aim/interval_table.h"
 #include "aim/scheduler.h"
 #include "traffic/arrivals.h"
-#include "util/bytes.h"
+#include "util/archive.h"
 #include "util/rng.h"
 
 namespace nwade::aim {
@@ -50,15 +50,11 @@ void expect_query_matches(const IntervalTable& table, Tick begin, Tick end) {
 /// Saves `table` and restores the blob into a fresh table, which must
 /// re-save the same bytes (the wire form lists every interval in order).
 IntervalTable round_trip(const IntervalTable& table) {
-  ByteWriter w;
-  table.checkpoint_save(w);
-  const Bytes blob = w.take();
+  const Bytes blob = to_bytes(table);
   ByteReader r(blob);
   IntervalTable restored;
-  EXPECT_TRUE(restored.checkpoint_restore(r) && r.at_end());
-  ByteWriter again;
-  restored.checkpoint_save(again);
-  EXPECT_EQ(again.data(), blob);
+  EXPECT_TRUE(load(r, restored) && r.at_end());
+  EXPECT_EQ(to_bytes(restored), blob);
   return restored;
 }
 

@@ -226,12 +226,11 @@ TEST_F(StoreTest, PlanIndexMatchesNewestFirstScan) {
         // Resync: the vehicle drops its cache and restarts from the next block.
         store = BlockStore(depth);
       } else if (roll == 1) {
-        ByteWriter w;
-        store.checkpoint_save(w);
+        const Bytes blob = to_bytes(store);
         BlockTable table;
         BlockStore restored;
-        ByteReader r(w.data());
-        ASSERT_TRUE(restored.checkpoint_restore(r, table)) << where;
+        ByteReader r(blob);
+        ASSERT_TRUE(load(r, restored, &table)) << where;
         store = std::move(restored);
       } else {
         std::vector<aim::TravelPlan> plans;

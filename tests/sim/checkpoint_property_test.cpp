@@ -4,14 +4,17 @@
 // and the summary digest must be a function of deterministic state only.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "net/fault.h"
 #include "sim/campaign.h"
 #include "sim/checkpoint.h"
 #include "sim/world.h"
 #include "util/bytes.h"
+#include "util/crc32.h"
 
 namespace nwade::sim {
 namespace {
@@ -209,12 +212,8 @@ TEST(CheckpointProperty, MetricsRoundTripIsByteIdentical) {
   for (int i = 0; i < 50; ++i) {
     expect_round_trip(
         random_metrics(rng),
-        [](ByteWriter& w, const protocol::Metrics& v) {
-          checkpoint::save_metrics(w, v, /*include_wall_samples=*/true);
-        },
-        [](ByteReader& r, protocol::Metrics& v) {
-          return checkpoint::load_metrics(r, v);
-        });
+        [](ByteWriter& w, const protocol::Metrics& v) { save(w, v); },
+        [](ByteReader& r, protocol::Metrics& v) { return load(r, v); });
   }
 }
 
@@ -222,10 +221,11 @@ TEST(CheckpointProperty, MetricsWithoutWallSamplesLoadsEmptySamples) {
   Rng rng(0xABCD);
   const protocol::Metrics m = random_metrics(rng);
   ByteWriter w;
-  checkpoint::save_metrics(w, m, /*include_wall_samples=*/false);
+  WriteArchive ar(w);
+  protocol::Metrics::io(ar, m, /*wall_samples=*/false);
   ByteReader r(w.data());
   protocol::Metrics loaded;
-  ASSERT_TRUE(checkpoint::load_metrics(r, loaded));
+  ASSERT_TRUE(load(r, loaded));
   EXPECT_TRUE(loaded.im_package_us.empty());
   EXPECT_TRUE(loaded.vehicle_verify_us.empty());
   EXPECT_EQ(loaded.vehicles_spawned, m.vehicles_spawned);
@@ -238,10 +238,10 @@ TEST(CheckpointProperty, MetricsSnapshotRoundTripIsByteIdentical) {
     expect_round_trip(
         random_snapshot(rng),
         [](ByteWriter& w, const util::telemetry::MetricsSnapshot& v) {
-          checkpoint::save_metrics_snapshot(w, v);
+          save(w, v);
         },
         [](ByteReader& r, util::telemetry::MetricsSnapshot& v) {
-          return checkpoint::load_metrics_snapshot(r, v);
+          return load(r, v);
         });
   }
 }
@@ -292,6 +292,71 @@ TEST(CheckpointProperty, ReplayBundleRoundTrips) {
     EXPECT_EQ(loaded.expected_digest, bundle.expected_digest);
     EXPECT_EQ(loaded.note, bundle.note);
     EXPECT_EQ(checkpoint::save_replay_bundle(loaded), blob);
+  }
+}
+
+/// Configs no run can start from: a step the watch interval cannot be
+/// divided by, and arrival rates the arrival generator does not accept.
+std::vector<ScenarioConfig> unrunnable_configs() {
+  std::vector<ScenarioConfig> out;
+  for (const Duration step : {Duration{0}, Duration{-100}}) {
+    out.emplace_back().step_ms = step;
+  }
+  for (const double vpm : {-80.0, 0.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    out.emplace_back().vehicles_per_minute = vpm;
+  }
+  return out;
+}
+
+TEST(CheckpointProperty, ReplayBundleRejectsConfigsNoRunCanStartFrom) {
+  for (const ScenarioConfig& config : unrunnable_configs()) {
+    checkpoint::ReplayBundle bundle;
+    bundle.config = config;
+    bundle.run_to = 10'000;
+    checkpoint::ReplayBundle loaded;
+    std::string error;
+    EXPECT_FALSE(checkpoint::load_replay_bundle(
+        checkpoint::save_replay_bundle(bundle), loaded, &error))
+        << "step_ms " << config.step_ms << ", vpm " << config.vehicles_per_minute;
+    EXPECT_FALSE(error.empty());
+  }
+}
+
+TEST(CheckpointProperty, WorldRestoreRejectsConfigsNoRunCanStartFrom) {
+  ScenarioConfig s;
+  s.duration_ms = 20'000;
+  World world(s);
+  world.run_until(5'000);
+  const Bytes blob = world.checkpoint_save();
+  for (const ScenarioConfig& bad : unrunnable_configs()) {
+    // The envelope with its config section swapped and that section's CRC
+    // recomputed, so only the value check can refuse it.
+    ScenarioConfig config = world.config();
+    config.step_ms = bad.step_ms;
+    config.vehicles_per_minute = bad.vehicles_per_minute;
+    ByteWriter section;
+    checkpoint::save_scenario_config(section, config);
+    ByteReader r(blob);
+    ByteWriter forged;
+    forged.str(r.str());
+    const std::uint32_t n = r.u32();
+    forged.u32(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const std::string name = r.str();
+      const std::uint32_t crc = r.u32();
+      const Bytes payload = r.bytes();
+      const Bytes& kept = name == "config" ? section.data() : payload;
+      forged.str(name);
+      forged.u32(name == "config" ? util::crc32(kept) : crc);
+      forged.bytes(kept);
+    }
+    ASSERT_TRUE(r.ok() && r.at_end());
+    std::string error;
+    // ASSERT: a world built from such a config may never finish stepping.
+    ASSERT_EQ(World::checkpoint_restore(forged.data(), &error), nullptr)
+        << "step_ms " << bad.step_ms << ", vpm " << bad.vehicles_per_minute;
+    EXPECT_FALSE(error.empty());
   }
 }
 

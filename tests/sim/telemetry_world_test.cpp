@@ -83,6 +83,20 @@ TEST(TelemetryWorld, TracedRunRecordsTheSpanTaxonomy) {
   EXPECT_TRUE(has_event(events, "nwade", "verify_round"));
 }
 
+TEST(TelemetryWorld, TracedRunRecordsBlockRejectionAndSelfEvacuation) {
+  // A compromised IM issues conflicting plans: vehicles reject its block
+  // (Algorithm 1) and evacuate on their own; both show on the timeline.
+  ScenarioConfig cfg = small_scenario(3, /*trace=*/true);
+  cfg.attack = protocol::attack_setting_by_name("IM");
+  cfg.attack_time = 20'000;
+  World world(cfg);
+  const RunSummary s = world.run();
+  ASSERT_GT(s.metrics.block_verification_failures, 0);
+  const std::vector<util::trace::Event> events = world.take_trace();
+  EXPECT_TRUE(has_event(events, "nwade", "reject_block"));
+  EXPECT_TRUE(has_event(events, "nwade", "self_evacuation"));
+}
+
 TEST(TelemetryWorld, TracingDoesNotPerturbTheRun) {
   World off(attack_scenario(7, false));
   World on(attack_scenario(7, true));
