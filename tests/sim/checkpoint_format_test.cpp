@@ -1,5 +1,6 @@
 // Byte-format lock for everything the simulator persists: a World
-// checkpoint of each golden scenario at 60 s (step_threads 1 and 4), a 2x2
+// checkpoint of each golden scenario at 60 s (step_threads 1 and 4), an
+// RSA-1024 World at 30 s (the one with a filled `crypto` section), a 2x2
 // Grid checkpoint, a replay bundle and one campaign RunSummary record must
 // keep their exact bytes across refactors of how they are written, so files
 // an older build saved still load. The values below are SHA-256 digests of
@@ -119,6 +120,47 @@ TEST(CheckpointFormat, WorldEnvelopesOfTheGoldenScenarios) {
       EXPECT_EQ(blob.size(), g.envelope_bytes) << g.name << " @" << threads;
       EXPECT_EQ(sha(fold_world(blob)), g.folded_sha) << g.name << " @" << threads;
     }
+  }
+}
+
+/// The `crypto` section's entry lists (count, then seq/key/verdict entries).
+std::size_t crypto_entries(const Bytes& blob) {
+  std::size_t entries = 0;
+  fold_envelope(blob, [&](const std::string& name, const Bytes& p) {
+    if (name != "crypto") return p;
+    ByteReader r(p);
+    for (int i = 0; i < 6; ++i) r.u64();  // capacity, next_seq, four counters
+    for (int list = 0; list < 16; ++list) {
+      const std::uint32_t n = r.u32();
+      entries += n;
+      for (std::uint32_t e = 0; e < n; ++e) {
+        r.u64();
+        r.bytes();
+        r.u8();
+      }
+    }
+    EXPECT_TRUE(r.ok() && r.at_end());
+    return p;
+  });
+  return entries;
+}
+
+/// An RSA signer memoizes its verdicts, so this is the envelope whose
+/// `crypto` section holds a filled signature-verification cache (an HMAC
+/// world's is always empty).
+TEST(CheckpointFormat, RsaWorldEnvelope) {
+  for (const int threads : {1, 4}) {
+    ScenarioConfig cfg = scenario(traffic::IntersectionKind::kCross4, 80, 1);
+    cfg.signer = SignerKind::kRsa1024;
+    cfg.step_threads = threads;
+    World world(std::move(cfg));
+    world.run_until(30'000);
+    const Bytes blob = world.checkpoint_save();
+    EXPECT_GT(crypto_entries(blob), 0u) << "@" << threads;
+    EXPECT_EQ(blob.size(), 402'984u) << "@" << threads;
+    EXPECT_EQ(sha(fold_world(blob)),
+              "6215aaaf40f59cc7f720ee05a204c0866cc0b4404291cf33d67dd7e35cbc0b00")
+        << "@" << threads;
   }
 }
 
