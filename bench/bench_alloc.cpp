@@ -104,7 +104,8 @@ int run(const Options& opt) {
   const double sign_allocs = bench::allocs_per_op(4, sign_op);
 
   RsaSigner signer(kp);
-  const auto verifier = signer.verifier();
+  SigVerifyCache cache;
+  const auto verifier = signer.verifier_with_cache(cache);
   if (!verifier->verify(msg, sig)) {
     std::fprintf(stderr, "FAIL: signature did not verify\n");
     return 1;

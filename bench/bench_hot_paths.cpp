@@ -3,12 +3,12 @@
 //   A. schedule() under dense traffic (120 veh/min, 4-way cross) through
 //      the indexed IntervalTable path (tests/aim/scheduler_equivalence_test
 //      holds the table to a linear-sweep oracle).
-//   B. block-verification fan-out across many receivers: the pre-PR shape
-//      (every receiver deserializes its own wire copy, rebuilds the Merkle
-//      tree, and pays a full RSA modexp — emulated by disabling the
-//      process-wide SigVerifyCache) vs the shared-block fanout_verify path
-//      (one immutable Block, payload and Merkle root built once, one modexp
-//      for the fleet).
+//   B. block verification by many receivers, one after another as event
+//      delivery runs them: the pre-PR shape (every receiver deserializes its
+//      own wire copy, rebuilds the Merkle tree, and pays a full RSA modexp
+//      through an uncached verifier) vs one shared immutable Block checked
+//      through one verify cache, as a World does (payload and Merkle root
+//      built once, one modexp for the fleet).
 //   C. the telemetry tax: the same seeded World run with the event tracer
 //      off vs on. The envelope carries the measured overhead as a top-level
 //      telemetry_overhead_pct field (docs/OBSERVABILITY.md quotes it).
@@ -20,18 +20,15 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "aim/scheduler.h"
 #include "chain/block.h"
-#include "chain/fanout.h"
 #include "crypto/signer.h"
 #include "crypto/verify_cache.h"
 #include "support.h"
 #include "traffic/arrivals.h"
 #include "util/rng.h"
-#include "util/worker_pool.h"
 
 namespace {
 
@@ -57,7 +54,7 @@ bench::TimingStats time_schedule_dense(const traffic::Intersection& ix,
   });
 }
 
-// --- phase B: block-verification fan-out ------------------------------------
+// --- phase B: block verification by many receivers ---------------------------
 
 chain::BlockPtr make_block(const crypto::Signer& signer, int n_plans) {
   std::vector<aim::TravelPlan> plans;
@@ -78,15 +75,11 @@ chain::BlockPtr make_block(const crypto::Signer& signer, int n_plans) {
 
 /// Pre-PR receiver shape: each vehicle holds its own wire copy of the block,
 /// so every verification deserializes, rebuilds the payload and Merkle tree,
-/// and runs an uncached modexp. Capacity 0 turns the SigVerifyCache into a
-/// pass-through, reproducing the seed cost model through today's API.
+/// and runs a modexp (`RsaSigner::verifier()` memoizes nothing).
 bench::TimingStats time_fanout_uncached(const Bytes& wire,
                                         const crypto::Verifier& verifier,
                                         int receivers, int warmup, int reps) {
-  auto& cache = crypto::SigVerifyCache::instance();
-  const std::size_t saved_capacity = cache.capacity();
-  cache.set_capacity(0);
-  auto stats = bench::timed_median(warmup, reps, [&] {
+  return bench::timed_median(warmup, reps, [&] {
     for (int r = 0; r < receivers; ++r) {
       auto copy = chain::Block::deserialize(wire);
       const bool ok = copy && copy->verify_signature(verifier) &&
@@ -94,26 +87,21 @@ bench::TimingStats time_fanout_uncached(const Bytes& wire,
       if (!ok) std::abort();  // a bench that verifies nothing times nothing
     }
   });
-  cache.set_capacity(saved_capacity);
-  return stats;
 }
 
-/// Post-PR shape: one shared Block, fanout_verify over a worker pool. The
-/// cache is reset (entries AND stats) every rep so each measurement pays
-/// the one real modexp the fleet shares — not a free ride on the previous
-/// rep — and the hit/miss counters describe only the rep being timed.
+/// Post-PR shape: one shared Block, every receiver's check going through
+/// one verifier that memoizes into one cache. The cache starts empty every
+/// rep, so each measurement pays the one real modexp the fleet shares, not
+/// a free ride on the previous rep.
 bench::TimingStats time_fanout_cached(const chain::Block& block,
-                                      const crypto::Verifier& verifier,
-                                      int receivers, int pool_threads,
-                                      int warmup, int reps) {
-  std::vector<const crypto::Verifier*> verifiers(
-      static_cast<std::size_t>(receivers), &verifier);
-  util::WorkerPool pool(pool_threads);
-  auto& cache = crypto::SigVerifyCache::instance();
+                                      const crypto::Signer& signer,
+                                      int receivers, int warmup, int reps) {
+  crypto::SigVerifyCache cache;
+  const auto verifier = signer.verifier_with_cache(cache);
   return bench::timed_median(warmup, reps, [&] {
-    cache.reset();
-    const auto results = chain::fanout_verify(block, verifiers, pool);
-    for (const auto ok : results) {
+    cache = crypto::SigVerifyCache();
+    for (int r = 0; r < receivers; ++r) {
+      const bool ok = block.verify_signature(*verifier) && block.verify_merkle();
       if (!ok) std::abort();
     }
   });
@@ -157,7 +145,7 @@ int run(const Options& opt) {
 
   const auto sched_indexed = time_schedule_dense(ix, arrivals, warmup, reps);
 
-  std::printf("phase B: %d-receiver fan-out, RSA-%d (uncached vs cached)\n",
+  std::printf("phase B: %d receivers, RSA-%d (uncached vs cached)\n",
               receivers, rsa_bits);
   Rng rng(7);
   const auto signer = crypto::RsaSigner::generate(rng, rsa_bits);
@@ -168,10 +156,10 @@ int run(const Options& opt) {
 
   const auto fan_uncached =
       time_fanout_uncached(wire, *verifier, receivers, warmup, reps);
-  const auto fan_cached_1 =
-      time_fanout_cached(block, *verifier, receivers, /*pool=*/1, warmup, reps);
-  const double fan_speedup = fan_cached_1.median_ms > 0
-                                 ? fan_uncached.median_ms / fan_cached_1.median_ms
+  const auto fan_cached =
+      time_fanout_cached(block, *signer, receivers, warmup, reps);
+  const double fan_speedup = fan_cached.median_ms > 0
+                                 ? fan_uncached.median_ms / fan_cached.median_ms
                                  : 0;
 
   const Duration world_ms = opt.smoke ? 30'000 : 120'000;
@@ -187,25 +175,14 @@ int run(const Options& opt) {
                 world_untraced.median_ms
           : 0;
 
-  std::vector<std::string> phases = {
+  const std::vector<std::string> phases = {
       bench::json_phase("schedule_dense_indexed", sched_indexed),
       bench::json_phase("fanout_verify_uncached", fan_uncached),
-      bench::json_phase("fanout_verify_cached_pool1", fan_cached_1),
+      bench::json_phase("fanout_verify_cached_pool1", fan_cached),
       bench::json_speedup("fanout_verify", fan_speedup),
       bench::json_phase("world_run_untraced", world_untraced),
       bench::json_phase("world_run_traced", world_traced),
   };
-
-  // A multi-threaded pool point when the host has cores to spare. Kept out
-  // of the headline speedup: determinism, not parallelism, is its contract.
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (!opt.smoke && hw > 1) {
-    const int pool_n = static_cast<int>(hw);
-    const auto fan_cached_n =
-        time_fanout_cached(block, *verifier, receivers, pool_n, warmup, reps);
-    phases.push_back(bench::json_phase(
-        "fanout_verify_cached_pool" + std::to_string(pool_n), fan_cached_n));
-  }
 
   const double wall_s = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t_start)
@@ -243,7 +220,7 @@ int run(const Options& opt) {
     std::printf("schedule_dense:         %.2f ms (indexed)\n",
                 sched_indexed.median_ms);
     std::printf("fanout_verify speedup:  %.2fx (uncached %.2f ms -> cached %.2f ms)\n",
-                fan_speedup, fan_uncached.median_ms, fan_cached_1.median_ms);
+                fan_speedup, fan_uncached.median_ms, fan_cached.median_ms);
     std::printf("telemetry overhead:     %.2f%% (untraced %.2f ms -> traced %.2f ms)\n",
                 telemetry_overhead_pct, world_untraced.median_ms,
                 world_traced.median_ms);

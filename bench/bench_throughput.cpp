@@ -25,9 +25,9 @@ int main() {
         cfg.vehicles_per_minute = density;
         cfg.seed = 500 + static_cast<std::uint64_t>(round);
 
-        cfg.nwade_enabled = true;
+        cfg.nwade.security_enabled = true;
         with.push_back(sim::World(cfg).run().throughput_vpm);
-        cfg.nwade_enabled = false;
+        cfg.nwade.security_enabled = false;
         without.push_back(sim::World(cfg).run().throughput_vpm);
       }
       const double on = mean(with), off = mean(without);

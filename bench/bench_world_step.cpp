@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "crypto/verify_cache.h"
 #include "support.h"
 
 namespace {
@@ -40,7 +39,7 @@ sim::ScenarioConfig scenario(bool smoke, int step_threads) {
   cfg.vehicles_per_minute = smoke ? 80 : 1500;
   cfg.duration_ms = smoke ? 8'000 : 120'000;
   cfg.legacy_fraction = 0.4;  // exercises both car-following lookups
-  cfg.nwade_enabled = false;  // stepping only; crypto is bench_hot_paths' job
+  cfg.nwade.security_enabled = false;  // stepping only; crypto is bench_hot_paths' job
   cfg.seed = 9;
   cfg.step_threads = step_threads;
   return cfg;
@@ -112,10 +111,9 @@ int run(const Options& opt) {
               "identical\n  %s\n",
               fp_reference.c_str());
 
-  // Phase boundary: start each mode from a pristine process-wide cache so
-  // one phase's memoized verdicts can never skew the other's timings.
+  // Each World memoizes into its own verify cache, so no mode's verdicts
+  // carry over into another's timings.
   const auto timed_mode = [&](int threads) {
-    crypto::SigVerifyCache::instance().reset();
     return bench::timed_median(warmup, reps, [&] {
       sim::World world(scenario(opt.smoke, threads));
       (void)world.run();

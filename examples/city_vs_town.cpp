@@ -23,7 +23,7 @@ RunStats run(traffic::IntersectionKind kind, double vpm, bool nwade_on) {
   cfg.intersection.kind = kind;
   cfg.vehicles_per_minute = vpm;
   cfg.duration_ms = 90'000;
-  cfg.nwade_enabled = nwade_on;
+  cfg.nwade.security_enabled = nwade_on;
   cfg.seed = 11;
   const sim::RunSummary s = sim::World(cfg).run();
   return RunStats{s.throughput_vpm, s.mean_crossing_ms / 1000.0};

@@ -6,10 +6,12 @@
 # name. TSan runs the chaos label (fault injection, corrupt-wire fuzzing,
 # threaded campaign fan-out, the grid shard fan-out: grid_parallel_test and
 # the bench_grid smoke both carry it; see docs/FAULT_MODEL.md,
-# docs/CHECKPOINT.md, docs/GRID.md); ASan adds the obs and soak labels (the
-# TCP sink machinery, serve's snapshot restore probe and resume path); UBSan
-# runs the full suite with UBSAN_OPTIONS=halt_on_error=1, so any report fails
-# the test that reached it.
+# docs/CHECKPOINT.md, docs/GRID.md), including RSA grid and campaign runs
+# whose concurrent worlds each verify through their own unlocked signature
+# cache, so one shared between threads would be reported; ASan adds the obs
+# and soak labels (the TCP sink machinery, serve's snapshot restore probe and
+# resume path); UBSan runs the full suite with UBSAN_OPTIONS=halt_on_error=1,
+# so any report fails the test that reached it.
 #
 #   scripts/check.sh              # default + ASan + TSan + UBSan
 #   scripts/check.sh default      # just the default tree

@@ -8,41 +8,25 @@ namespace {
 
 class RsaVerifier final : public Verifier {
  public:
-  /// `cache` == nullptr memoizes into the process-wide instance; a non-null
-  /// cache scopes the verdicts to one run (campaign isolation). A non-null
-  /// `batch` is a per-step side-table of prefetched verdicts consulted only
-  /// after a counted cache miss (see Signer::verifier_with_cache).
-  explicit RsaVerifier(RsaPublicKey pub, SigVerifyCache* cache = nullptr,
-                       const SigBatchTable* batch = nullptr)
-      : ctx_(std::move(pub)), cache_(cache), batch_(batch) {}
+  /// A non-null `cache` memoizes verdicts; nullptr verifies every call.
+  RsaVerifier(RsaPublicKey pub, SigVerifyCache* cache)
+      : ctx_(std::move(pub)), cache_(cache) {}
   bool verify(std::span<const std::uint8_t> msg,
               std::span<const std::uint8_t> sig) const override {
+    if (cache_ == nullptr) return ctx_.verify(msg, sig);
     // One modexp per distinct (key, msg, sig) per cache: every other
     // receiver of the same broadcast block hits the cache. Pure-function
     // caching, so the answer is identical either way.
-    auto& cache = cache_ != nullptr ? *cache_ : SigVerifyCache::instance();
     const Digest key = SigVerifyCache::key_of(ctx_.fingerprint(), msg, sig);
-    if (const auto cached = cache.lookup(key)) return *cached;
-    // The miss has been counted; a prefetched verdict only replaces the
-    // modexp, so cache contents AND stats match the unprefetched run.
-    std::optional<bool> pre;
-    if (batch_ != nullptr) pre = batch_->find(key);
-    const bool ok = pre ? *pre : ctx_.verify(msg, sig);
-    cache.store(key, ok);
+    if (const auto cached = cache_->lookup(key)) return *cached;
+    const bool ok = ctx_.verify(msg, sig);
+    cache_->store(key, ok);
     return ok;
-  }
-
-  const Digest* key_fingerprint() const override { return &ctx_.fingerprint(); }
-
-  bool verify_uncached(std::span<const std::uint8_t> msg,
-                       std::span<const std::uint8_t> sig) const override {
-    return ctx_.verify(msg, sig);
   }
 
  private:
   RsaVerifyContext ctx_;
   SigVerifyCache* cache_;
-  const SigBatchTable* batch_;
 };
 
 class HmacVerifier final : public Verifier {
@@ -63,7 +47,7 @@ class HmacVerifier final : public Verifier {
 RsaSigner::RsaSigner(RsaKeyPair key_pair)
     : key_(std::move(key_pair)),
       sign_ctx_(key_.priv),
-      verifier_(std::make_shared<RsaVerifier>(key_.pub)) {}
+      verifier_(std::make_shared<RsaVerifier>(key_.pub, nullptr)) {}
 
 std::unique_ptr<RsaSigner> RsaSigner::generate(Rng& rng, int modulus_bits) {
   return std::make_unique<RsaSigner>(rsa_generate(rng, modulus_bits));
@@ -76,8 +60,8 @@ Bytes RsaSigner::sign(std::span<const std::uint8_t> msg) const {
 std::shared_ptr<const Verifier> RsaSigner::verifier() const { return verifier_; }
 
 std::shared_ptr<const Verifier> RsaSigner::verifier_with_cache(
-    SigVerifyCache& cache, const SigBatchTable* batch) const {
-  return std::make_shared<RsaVerifier>(key_.pub, &cache, batch);
+    SigVerifyCache& cache) const {
+  return std::make_shared<RsaVerifier>(key_.pub, &cache);
 }
 
 HmacSigner::HmacSigner(Bytes key)

@@ -13,7 +13,6 @@
 namespace nwade::crypto {
 
 class SigVerifyCache;
-class SigBatchTable;
 
 /// Verification half of a signer; safe to share between many vehicles.
 class Verifier {
@@ -21,20 +20,6 @@ class Verifier {
   virtual ~Verifier() = default;
   virtual bool verify(std::span<const std::uint8_t> msg,
                       std::span<const std::uint8_t> sig) const = 0;
-
-  /// The fingerprint that SigVerifyCache::key_of folds for this verifier's
-  /// key, or nullptr when verdicts are not digest-cacheable (HMAC). A
-  /// non-null fingerprint is what lets the world's batch-verify prefetch
-  /// compute cache keys for pending signatures without a verifier call.
-  virtual const Digest* key_fingerprint() const { return nullptr; }
-
-  /// The raw verification (no cache lookup, no batch-table consult). Must
-  /// be thread-safe: the batch prefetch fans calls across the worker pool.
-  /// Defaults to verify() for verifiers that have no cache layer anyway.
-  virtual bool verify_uncached(std::span<const std::uint8_t> msg,
-                               std::span<const std::uint8_t> sig) const {
-    return verify(msg, sig);
-  }
 };
 
 /// Signing half; held only by the key owner (the intersection manager).
@@ -44,19 +29,12 @@ class Signer {
   virtual Bytes sign(std::span<const std::uint8_t> msg) const = 0;
   virtual std::shared_ptr<const Verifier> verifier() const = 0;
 
-  /// A verifier whose memoized verdicts live in `cache` instead of the
-  /// process-wide `SigVerifyCache::instance()`. Multi-run hosts (the
-  /// campaign engine) hand each run its own cache so concurrent worlds
-  /// neither contend on one mutex set nor observe each other's verdicts.
-  /// `cache` must outlive the returned verifier. Signers that do not
-  /// memoize (HMAC) return their plain verifier. A non-null `batch` is an
-  /// optional per-step side-table of pre-computed verdicts the verifier
-  /// consults only after a genuinely counted cache miss (so cache stats are
-  /// identical with or without prefetching); it must outlive the verifier.
+  /// A verifier that memoizes its verdicts in `cache` (each World hands in
+  /// its own). `cache` must outlive the returned verifier. Signers that do
+  /// not memoize (HMAC) return their plain verifier.
   virtual std::shared_ptr<const Verifier> verifier_with_cache(
-      SigVerifyCache& cache, const SigBatchTable* batch = nullptr) const {
+      SigVerifyCache& cache) const {
     (void)cache;
-    (void)batch;
     return verifier();
   }
 };
@@ -70,9 +48,10 @@ class RsaSigner final : public Signer {
   static std::unique_ptr<RsaSigner> generate(Rng& rng, int modulus_bits = 2048);
 
   Bytes sign(std::span<const std::uint8_t> msg) const override;
+  /// Uncached: each verify() through it pays the modexp.
   std::shared_ptr<const Verifier> verifier() const override;
   std::shared_ptr<const Verifier> verifier_with_cache(
-      SigVerifyCache& cache, const SigBatchTable* batch = nullptr) const override;
+      SigVerifyCache& cache) const override;
 
   const RsaPublicKey& public_key() const { return key_.pub; }
 

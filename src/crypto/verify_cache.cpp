@@ -1,15 +1,17 @@
 #include "crypto/verify_cache.h"
 
-#include <limits>
+#include <algorithm>
+#include <array>
+#include <vector>
 
 #include "util/archive.h"
 
 namespace nwade::crypto {
 
-SigVerifyCache& SigVerifyCache::instance() {
-  static SigVerifyCache cache;
-  return cache;
-}
+namespace {
+/// Entry lists in the v1 `crypto` section (docs/CHECKPOINT.md).
+constexpr std::size_t kWireLists = 16;
+}  // namespace
 
 Digest SigVerifyCache::key_of(const Digest& verifier_fingerprint,
                               std::span<const std::uint8_t> msg,
@@ -29,142 +31,78 @@ Digest SigVerifyCache::key_of(const Digest& verifier_fingerprint,
 }
 
 std::optional<bool> SigVerifyCache::lookup(const Digest& key) {
-  Shard& shard = shard_of(key);
-  std::optional<bool> verdict;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) verdict = it->second.ok;
+  const auto it = verdicts_.find(key);
+  if (it == verdicts_.end()) {
+    ++stats_.misses;
+    return std::nullopt;
   }
-  if (verdict) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return verdict;
-}
-
-std::optional<bool> SigVerifyCache::peek(const Digest& key) const {
-  const Shard& shard = shard_of(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) return std::nullopt;
-  return it->second.ok;
+  ++stats_.hits;
+  return it->second;
 }
 
 void SigVerifyCache::store(const Digest& key, bool ok) {
-  if (capacity_.load(std::memory_order_relaxed) == 0) return;
-  Shard& shard = shard_of(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto [it, inserted] = shard.entries.try_emplace(key);
-    if (!inserted) return;
-    it->second.ok = ok;
-    it->second.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-    shard.order.emplace_back(it->second.seq, key);
+  if (capacity_ == 0 || !verdicts_.emplace(key, ok).second) return;
+  fifo_.emplace_back(next_seq_++, key);
+  ++stats_.insertions;
+  while (verdicts_.size() > capacity_) {
+    verdicts_.erase(fifo_.front().second);
+    fifo_.pop_front();
+    ++stats_.evictions;
   }
-  size_.fetch_add(1, std::memory_order_relaxed);
-  insertions_.fetch_add(1, std::memory_order_relaxed);
-  evict_to_capacity();
-}
-
-void SigVerifyCache::clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    size_.fetch_sub(shard.entries.size(), std::memory_order_relaxed);
-    shard.entries.clear();
-    shard.order.clear();
-  }
-}
-
-void SigVerifyCache::reset() {
-  clear();
-  reset_stats();
-}
-
-void SigVerifyCache::set_capacity(std::size_t capacity) {
-  capacity_.store(capacity, std::memory_order_relaxed);
-  evict_to_capacity();
-}
-
-SigVerifyCache::Stats SigVerifyCache::stats() const {
-  Stats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.insertions = insertions_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  return s;
-}
-
-void SigVerifyCache::reset_stats() {
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  insertions_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
-}
-
-void SigVerifyCache::evict_to_capacity() {
-  while (size_.load(std::memory_order_relaxed) >
-         capacity_.load(std::memory_order_relaxed)) {
-    if (!evict_globally_oldest()) return;
-  }
-}
-
-bool SigVerifyCache::evict_globally_oldest() {
-  // Pass 1: peek every shard's FIFO head (one short lock each) to find the
-  // globally-oldest entry. Pass 2: evict that shard's current head. Under
-  // concurrent stores the head may have changed between passes — evicting
-  // whatever now heads the chosen shard keeps the size bound exact and the
-  // order per-shard FIFO, which is all the concurrent contract promises.
-  std::size_t best_shard = kShards;
-  std::uint64_t best_seq = std::numeric_limits<std::uint64_t>::max();
-  for (std::size_t i = 0; i < kShards; ++i) {
-    std::lock_guard<std::mutex> lock(shards_[i].mu);
-    if (!shards_[i].order.empty() && shards_[i].order.front().first < best_seq) {
-      best_seq = shards_[i].order.front().first;
-      best_shard = i;
-    }
-  }
-  if (best_shard == kShards) return false;  // raced with clear(); nothing left
-
-  Shard& shard = shards_[best_shard];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.order.empty()) return true;  // retry the sweep
-  const Digest victim = shard.order.front().second;
-  shard.order.pop_front();
-  shard.entries.erase(victim);
-  size_.fetch_sub(1, std::memory_order_relaxed);
-  evictions_.fetch_add(1, std::memory_order_relaxed);
-  return true;
 }
 
 template <class Ar, class Self>
 void SigVerifyCache::io(Ar& ar, Self& cache) {
   ar.u64(cache.capacity_);
   ar.u64(cache.next_seq_);
-  ar.u64(cache.hits_);
-  ar.u64(cache.misses_);
-  ar.u64(cache.insertions_);
-  ar.u64(cache.evictions_);
-  std::size_t total = 0;
-  for (auto& shard : cache.shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if constexpr (Ar::kReading) shard.entries.clear();
-    // FIFO order per shard: seq, key, verdict (45 bytes per entry).
-    ar.seq(shard.order, 45, [&shard](auto& a, auto& e) {
-      a.u64(e.first);
-      a.digest(e.second);
-      bool ok = false;
-      if constexpr (!Ar::kReading) {
-        const auto it = shard.entries.find(e.second);
-        ok = it != shard.entries.end() && it->second.ok;
-      }
-      a.flag(ok);
-      if constexpr (Ar::kReading) shard.entries[e.second] = Entry{ok, e.first};
-    });
-    total += shard.order.size();
+  ar.u64(cache.stats_.hits);
+  ar.u64(cache.stats_.misses);
+  ar.u64(cache.stats_.insertions);
+  ar.u64(cache.stats_.evictions);
+
+  struct Entry {
+    std::uint64_t seq{0};
+    Digest key{};
+    bool ok{false};
+  };
+  std::array<std::vector<Entry>, kWireLists> lists;
+  if constexpr (!Ar::kReading) {
+    for (const auto& [seq, key] : cache.fifo_) {
+      lists[key[8] % kWireLists].push_back(Entry{seq, key, cache.verdicts_.at(key)});
+    }
   }
-  if constexpr (Ar::kReading) cache.size_.store(total, std::memory_order_relaxed);
+  for (auto& list : lists) {
+    // seq, key, verdict: 45 bytes per entry.
+    ar.seq(list, 45, [](auto& a, auto& e) {
+      a.u64(e.seq);
+      a.digest(e.key);
+      a.flag(e.ok);
+    }, cache.capacity_);
+  }
+  if constexpr (Ar::kReading) {
+    if (!ar.ok()) return;
+    // Each list must be one key class's slice of a single FIFO: its own
+    // keys, seqs rising and already issued, no key twice, and no more
+    // entries in all than the capacity holds.
+    cache.verdicts_.clear();
+    std::vector<std::pair<std::uint64_t, Digest>> merged;
+    for (std::size_t i = 0; i < kWireLists; ++i) {
+      for (std::size_t k = 0; k < lists[i].size(); ++k) {
+        const Entry& e = lists[i][k];
+        if (e.key[8] % kWireLists != i || e.seq >= cache.next_seq_ ||
+            (k > 0 && e.seq <= lists[i][k - 1].seq) ||
+            !cache.verdicts_.emplace(e.key, e.ok).second) {
+          return ar.fail();
+        }
+        merged.emplace_back(e.seq, e.key);
+      }
+    }
+    if (merged.size() > cache.capacity_) return ar.fail();
+    // Oldest first; equal seqs (no save writes them) keep list order.
+    std::stable_sort(merged.begin(), merged.end(),
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    cache.fifo_.assign(merged.begin(), merged.end());
+  }
 }
 template void SigVerifyCache::io(WriteArchive&, const SigVerifyCache&);
 template void SigVerifyCache::io(ReadArchive&, SigVerifyCache&);

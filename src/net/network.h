@@ -149,19 +149,6 @@ class Network {
   /// Number of in-flight deliveries (tests/diagnostics).
   std::size_t pending_deliveries() const { return pending_.size(); }
 
-  /// Visits every in-flight delivery whose arrival tick is <= `until`, in
-  /// ascending delivery-id (== scheduling) order. The world's batch-verify
-  /// prefetch uses this to see which signed payloads are about to be
-  /// delivered this step; read-only, and the envelopes may still be dropped
-  /// at delivery time (outages, live range check), so callers must treat
-  /// the visit as a superset of what receivers will actually process.
-  template <typename Fn>
-  void for_each_pending_due(Tick until, Fn&& fn) const {
-    for (const auto& [id, p] : pending_) {
-      if (p.arrival <= until) fn(p.env);
-    }
-  }
-
  private:
   /// Cached per-kind counter handles; looked up once per kind, then every
   /// packet copy of that kind is a few relaxed fetch_adds.

@@ -14,8 +14,7 @@ namespace {
 /// only ever append.
 using Kinds = std::tuple<PlanRequest, BlockBroadcast, BlockRequest, BlockResponse,
                          IncidentReport, VerifyRequest, VerifyResponse,
-                         AlarmDismiss, EvacuationAlert, GlobalReport,
-                         BlacklistGossip>;
+                         AlarmDismiss, EvacuationAlert, GlobalReport>;
 
 struct KindCodec {
   bool (*encode)(WriteArchive&, const net::Message&, std::uint8_t tag);

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "chain/store.h"
 #include "net/network.h"
@@ -222,27 +221,6 @@ struct GlobalReport final : net::Message {
     ar.u64(m.block_seq);
     ar.id(m.suspect);
     ar(m.suspect_status);
-  }
-};
-
-/// IM -> neighboring IMs: cumulative confirmed-suspect snapshot (attacker
-/// blacklist). Carried on sim::Grid's inter-shard edge channels — never the
-/// intra-intersection radio — so a vehicle flagged at one intersection is
-/// distrusted downstream (ImNode::import_blacklist) within a bounded gossip
-/// delay. The snapshot is cumulative: losing one round only delays
-/// convergence by one gossip interval.
-struct BlacklistGossip final : net::Message {
-  std::uint32_t origin_shard{0};
-  Tick issued_at{0};
-  std::vector<VehicleId> suspects;
-
-  std::string kind() const override { return "blacklist_gossip"; }
-  std::size_t wire_size() const override { return 24 + 8 * suspects.size(); }
-
-  template <class Ar, class Self> static void io(Ar& ar, Self& m) {
-    ar.u32(m.origin_shard);
-    ar.i64(m.issued_at);
-    ar.ids(m.suspects);
   }
 };
 

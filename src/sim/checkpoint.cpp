@@ -101,7 +101,10 @@ void ScenarioConfig::io(Ar& ar, Self& c) {
   ar.i64(c.attack_time);
   ar.enum8(c.false_report_kind, protocol::FalseReportKind::kWrongPlans);
   ar.enum8(c.im_attack_mode, protocol::ImAttackMode::kShamAlert);
-  ar.flag(c.nwade_enabled);
+  // The security flag again, in the slot of a scenario-level twin since
+  // folded into it: written from the one field, and on read this later
+  // copy is the one that counts.
+  ar.flag(c.nwade.security_enabled);
   ar.f64(c.legacy_fraction);
   ar.reserved();
   ar.flag(c.trace_enabled);

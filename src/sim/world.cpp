@@ -39,7 +39,6 @@ World::World(ScenarioConfig config, Tick resume_t)
       queue_.schedule_at(when, std::move(fn));
     }
   };
-  config_.nwade.security_enabled = config_.nwade_enabled;
   tracer_.set_enabled(config_.trace_enabled);
   steps_counter_ = registry_.counter("sim.steps");
 
@@ -65,13 +64,8 @@ World::World(ScenarioConfig config, Tick resume_t)
       break;
   }
 
-  // One verifier shared by the whole fleet, wired to the run's verify cache
-  // and the per-step batch table (verification is pure and the RSA context
-  // is thread-safe, so sharing changes nothing). The prefetch needs a
-  // cache-key fingerprint (RSA signers only) and a worker pool to feed.
-  im_verifier_ = signer_->verifier_with_cache(verify_cache_, &sig_batch_);
-  batch_verify_ = step_pool_.thread_count() > 0 && im_verifier_ != nullptr &&
-                  im_verifier_->key_fingerprint() != nullptr;
+  // One verifier shared by the whole fleet, wired to the run's verify cache.
+  im_verifier_ = signer_->verifier_with_cache(verify_cache_);
 
   // Arrival schedule + attacker role assignment.
   traffic::ArrivalGenerator gen(intersection_, config_.vehicles_per_minute,
@@ -609,61 +603,10 @@ std::size_t World::step_gap_audit(Tick now) {
   return n;
 }
 
-void World::prefetch_block_signatures(Tick until) {
-  sig_batch_.clear();
-  batch_keys_.clear();
-  batch_blocks_.clear();
-  batch_seen_.clear();
-  const crypto::Digest* fp = im_verifier_->key_fingerprint();
-  // Collect the distinct, not-yet-cached signatures among the block
-  // deliveries due this step. The pending set is stable until the event
-  // queue runs, so the blocks it holds stay alive.
-  network_->for_each_pending_due(until, [&](const net::Envelope& env) {
-    const chain::Block* block = nullptr;
-    if (const auto* bb =
-            dynamic_cast<const protocol::BlockBroadcast*>(env.msg.get())) {
-      block = bb->block.get();
-    } else if (const auto* br =
-                   dynamic_cast<const protocol::BlockResponse*>(env.msg.get())) {
-      block = br->block.get();
-    }
-    if (block == nullptr || block->signature.empty()) return;
-    const crypto::Digest key = crypto::SigVerifyCache::key_of(
-        *fp, block->signed_payload(), block->signature);
-    if (!batch_seen_.insert(key).second) return;      // duplicate this wave
-    if (verify_cache_.peek(key).has_value()) return;  // cached (stats-free probe)
-    batch_keys_.push_back(key);
-    batch_blocks_.push_back(block);
-  });
-  if (batch_keys_.empty()) return;
-  batch_ok_.assign(batch_keys_.size(), 0);
-  // One wave across the pool; the modexp dominates, so one key per chunk.
-  step_pool_.parallel_for(
-      batch_keys_.size(), 1, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t k = begin; k < end; ++k) {
-          const chain::Block& block = *batch_blocks_[k];
-          batch_ok_[k] =
-              im_verifier_->verify_uncached(block.signed_payload(), block.signature)
-                  ? 1
-                  : 0;
-        }
-      });
-  // Merge in collection order. Receivers still perform the counted cache
-  // lookups and stores themselves (the table is consulted only after a
-  // counted miss), so cache contents AND stats match an unprefetched run
-  // byte-for-byte.
-  for (std::size_t k = 0; k < batch_keys_.size(); ++k) {
-    sig_batch_.put(batch_keys_[k], batch_ok_[k] != 0);
-  }
-}
-
 void World::run_until(Tick t) {
   const bool tracing = util::trace::tracing_active() && tracer_.enabled();
   while (stepped_until_ < t) {
     stepped_until_ += config_.step_ms;
-    // Batch-verify the signatures about to be delivered this step before the
-    // event queue runs them (RSA + worker pool only; a no-op otherwise).
-    if (batch_verify_) prefetch_block_signatures(stepped_until_);
     if (tracing) {
       using wall_clock = std::chrono::steady_clock;
       const auto t0 = wall_clock::now();

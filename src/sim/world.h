@@ -9,7 +9,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -41,6 +40,8 @@ struct ScenarioConfig {
   Duration step_ms{100};
   std::uint64_t seed{1};
 
+  /// `nwade.security_enabled` = false is plain AIM without the NWADE
+  /// security layer (Fig. 8's baseline).
   protocol::NwadeConfig nwade;
   aim::SchedulerConfig scheduler;
   net::NetworkConfig network;
@@ -56,10 +57,6 @@ struct ScenarioConfig {
   protocol::ImAttackMode im_attack_mode{
       protocol::ImAttackMode::kConflictingPlansAndSilence};
 
-  /// false = plain AIM without the NWADE security layer (Fig. 8's baseline):
-  /// vehicles skip block verification and the neighbourhood watch.
-  bool nwade_enabled{true};
-
   /// Mixed-traffic extension (the paper's future work): fraction of arrivals
   /// that are legacy vehicles — no V2X, no plan requests; they cross at a
   /// constant cruise speed with simple car-following. The IM perceives them
@@ -73,12 +70,12 @@ struct ScenarioConfig {
   bool trace_enabled{false};
 
   /// Worker threads for the intra-world phase kernels (chunked physics /
-  /// watch scans / gap audit) and the batched signature prefetch. <= 1 runs
-  /// everything inline on the calling thread. Chunk boundaries and every
-  /// merge are fixed, so results are byte-identical for ANY value — this is
-  /// a wall-clock knob, never a behaviour knob. Deliberately not part of the
-  /// checkpoint envelope: a resumed world may pick a different thread count
-  /// and still continue bit-exactly.
+  /// watch scans / gap audit). <= 1 runs everything inline on the calling
+  /// thread. Chunk boundaries and every merge are fixed, so results are
+  /// byte-identical for ANY value — this is a wall-clock knob, never a
+  /// behaviour knob. Deliberately not part of the checkpoint envelope: a
+  /// resumed world may pick a different thread count and still continue
+  /// bit-exactly.
   int step_threads{1};
 
   // --- grid-sharding hooks (sim::Grid) ---------------------------------------
@@ -306,12 +303,6 @@ class World final : public protocol::SensorProvider {
   void step_physics(Tick now, Duration dt);
   void step_watch(Tick now, Tick step_index, Tick watch_every);
   std::size_t step_gap_audit(Tick now);
-  /// Batched signature verification: collects the distinct uncached
-  /// (key, payload, signature) triples among block deliveries due this step,
-  /// verifies them across the worker pool, and parks the verdicts in
-  /// sig_batch_ where RsaVerifier::verify picks them up after a (counted)
-  /// cache miss — cache contents and stats identical to inline verification.
-  void prefetch_block_signatures(Tick until);
 
   ScenarioConfig config_;
   traffic::Intersection intersection_;
@@ -348,24 +339,16 @@ class World final : public protocol::SensorProvider {
   util::telemetry::Counter steps_counter_;
   std::function<void(Tick)> step_listener_;
 
-  /// Per-run signature-verification cache, injected into every vehicle's
-  /// verifier. Campaign runs step many worlds concurrently; scoping the
-  /// memoized verdicts to the run keeps them isolated (and contention-free)
-  /// while single-run behaviour is unchanged — verification is a pure
-  /// function, so the verdicts are identical either way.
+  /// The run's one signature-verification memo. Vehicles verify inside
+  /// event delivery, on the thread stepping this world, so concurrent worlds
+  /// (grid shards, campaign cells) never share or lock one.
   crypto::SigVerifyCache verify_cache_;
 
-  /// Worker pool behind the chunked phase kernels and the signature
-  /// prefetch; 0 workers (step_threads <= 1) runs everything inline.
+  /// Worker pool behind the chunked phase kernels; 0 workers
+  /// (step_threads <= 1) runs everything inline.
   util::WorkerPool step_pool_;
-  /// Per-step side-table of prefetched signature verdicts; cleared every
-  /// step, recomputable, never checkpointed.
-  crypto::SigBatchTable sig_batch_;
-  /// One verifier shared by every vehicle (verification is pure and the RSA
-  /// context is thread-safe, so sharing changes nothing); wired to
-  /// verify_cache_ and sig_batch_.
+  /// One verifier shared by every vehicle, memoizing into verify_cache_.
   std::shared_ptr<const crypto::Verifier> im_verifier_;
-  bool batch_verify_{false};  ///< prefetch on: RSA + worker pool
 
   // Reused phase scratch (chunked kernels): cleared and refilled every step
   // so the warmed steady state never touches the heap.
@@ -382,11 +365,6 @@ class World final : public protocol::SensorProvider {
   std::vector<AuditProbe> audit_probes_;
   geom::SpatialHash audit_grid_{2.0};  ///< capacity-retaining, cleared per audit
   std::vector<int> audit_partials_;
-  // Batch-verify collection scratch (prefetch_block_signatures).
-  std::vector<crypto::Digest> batch_keys_;
-  std::vector<const chain::Block*> batch_blocks_;
-  std::vector<std::uint8_t> batch_ok_;
-  std::unordered_set<crypto::Digest, crypto::DigestKeyHash> batch_seen_;
   StepAllocCounts last_step_allocs_;
 
   /// Bumped whenever positions may have changed (step_world entry, spawns);

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <type_traits>
@@ -62,7 +61,7 @@ class Archive {
   }
   chain::BlockTable* blocks() const { return blocks_; }
 
-  // Fixed-width scalars; `T` is the field's own type (int, Tick, an atomic).
+  // Fixed-width scalars; `T` is the field's own type (int, Tick, ...).
   template <class T> void u8(T& v) { scalar<std::uint8_t>(v); }
   template <class T> void u32(T& v) { scalar<std::uint32_t>(v); }
   template <class T> void u64(T& v) { scalar<std::uint64_t>(v); }
@@ -276,15 +275,8 @@ class Archive {
   }
 
  private:
-  template <class T> struct IsAtomic : std::false_type {};
-  template <class T> struct IsAtomic<std::atomic<T>> : std::true_type {};
-
   template <class Wire, class T> void scalar(T& v) {
-    if constexpr (IsAtomic<std::remove_const_t<T>>::value) {
-      auto x = v.load(std::memory_order_relaxed);
-      scalar<Wire>(x);
-      if constexpr (Reading) v.store(x, std::memory_order_relaxed);
-    } else if constexpr (Reading) {
+    if constexpr (Reading) {
       v = static_cast<T>(read<Wire>());
     } else {
       write(static_cast<Wire>(v));

@@ -1,16 +1,11 @@
-// Chaos coverage for the cached block-verification fan-out: the
-// signature-verification cache must never let a forged block ride its
-// honest twin's cached verdict, and the parallel fan-out must agree with
-// the sequential path under every pool size (TSan vets the synchronization
-// when this suite runs under SANITIZE=thread).
+// Chaos coverage for cached block verification: the signature-verification
+// cache must never let a forged block ride its honest twin's cached verdict.
 #include <gtest/gtest.h>
 
 #include "chain/block.h"
-#include "chain/fanout.h"
 #include "chain/store.h"
 #include "crypto/verify_cache.h"
 #include "util/rng.h"
-#include "util/worker_pool.h"
 
 namespace nwade::chain {
 namespace {
@@ -47,22 +42,15 @@ class VerifyCacheChaosTest : public ::testing::Test {
     delete signer_;
     signer_ = nullptr;
   }
-  void SetUp() override {
-    crypto::SigVerifyCache::instance().clear();
-    crypto::SigVerifyCache::instance().reset_stats();
-  }
-  void TearDown() override {
-    crypto::SigVerifyCache::instance().clear();
-    crypto::SigVerifyCache::instance().reset_stats();
-  }
   static crypto::RsaSigner* signer_;
+  crypto::SigVerifyCache cache_;
 };
 
 crypto::RsaSigner* VerifyCacheChaosTest::signer_ = nullptr;
 
 TEST_F(VerifyCacheChaosTest, TamperedTwinRejectedAfterHonestHit) {
-  auto& cache = crypto::SigVerifyCache::instance();
-  const auto verifier = signer_->verifier();
+  const auto& cache = cache_;
+  const auto verifier = signer_->verifier_with_cache(cache_);
   const BlockPtr honest_ptr = make_signed_block(*signer_, 1, crypto::Digest{}, 4);
   const Block& honest = *honest_ptr;
 
@@ -88,7 +76,7 @@ TEST_F(VerifyCacheChaosTest, TamperedTwinRejectedAfterHonestHit) {
 }
 
 TEST_F(VerifyCacheChaosTest, TamperedPlansStillRejectedByMerkle) {
-  const auto verifier = signer_->verifier();
+  const auto verifier = signer_->verifier_with_cache(cache_);
   const BlockPtr honest = make_signed_block(*signer_, 2, crypto::Digest{}, 4);
   EXPECT_TRUE(honest->verify_signature(*verifier));
   EXPECT_TRUE(honest->verify_merkle());
@@ -102,48 +90,6 @@ TEST_F(VerifyCacheChaosTest, TamperedPlansStillRejectedByMerkle) {
 
   BlockStore store;
   EXPECT_FALSE(store.append(forged, *verifier).has_value());
-}
-
-TEST_F(VerifyCacheChaosTest, FanoutMatchesSequentialForEveryPoolSize) {
-  auto& cache = crypto::SigVerifyCache::instance();
-  const auto verifier_sp = signer_->verifier();
-  const BlockPtr block = make_signed_block(*signer_, 3, crypto::Digest{}, 8);
-
-  // 64 receivers sharing one IM verifier (the simulator's shape).
-  std::vector<const crypto::Verifier*> verifiers(64, verifier_sp.get());
-
-  for (const int threads : {1, 2, 4}) {
-    cache.clear();
-    cache.reset_stats();
-    util::WorkerPool pool(threads);
-    const auto results = fanout_verify(*block, verifiers, pool);
-    ASSERT_EQ(results.size(), verifiers.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      EXPECT_EQ(results[i], 1) << "receiver " << i << ", pool " << threads;
-    }
-    const auto s = cache.stats();
-    EXPECT_EQ(s.hits + s.misses, verifiers.size()) << "pool " << threads;
-    if (threads <= 1) {
-      // Sequential: exactly one modexp, everyone else hits the cache.
-      EXPECT_EQ(s.misses, 1u);
-    } else {
-      // Concurrent receivers can each miss before the first store lands,
-      // but never more of them than there are threads racing.
-      EXPECT_GE(s.misses, 1u);
-      EXPECT_LE(s.misses, static_cast<std::uint64_t>(threads) + 1);
-    }
-  }
-}
-
-TEST_F(VerifyCacheChaosTest, FanoutRejectsForgeryUnderThreads) {
-  const auto verifier_sp = signer_->verifier();
-  BlockFields f = make_signed_block(*signer_, 4, crypto::Digest{}, 4)->fields();
-  f.seq += 1;  // breaks the signature
-  const Block forged(std::move(f));
-  std::vector<const crypto::Verifier*> verifiers(32, verifier_sp.get());
-  util::WorkerPool pool(4);
-  const auto results = fanout_verify(forged, verifiers, pool);
-  for (std::size_t i = 0; i < results.size(); ++i) EXPECT_EQ(results[i], 0);
 }
 
 }  // namespace

@@ -82,11 +82,12 @@ TEST(AllocGate, CacheHitRsa2048VerifyIsAllocationFree) {
   RsaSigner signer(kp);
   const Bytes msg = {'g', 'a', 't', 'e'};
   const Bytes sig = signer.sign(msg);
-  const auto verifier = signer.verifier();
+  SigVerifyCache cache;
+  const auto verifier = signer.verifier_with_cache(cache);
   ASSERT_TRUE(verifier->verify(msg, sig));  // miss: computes + populates
 
   const std::uint64_t before = util::thread_alloc_count();
-  const bool ok = verifier->verify(msg, sig);  // hit: key_of + shard lookup
+  const bool ok = verifier->verify(msg, sig);  // hit: key_of + map lookup
   EXPECT_EQ(util::thread_alloc_count() - before, 0u);
   EXPECT_TRUE(ok);
 }
@@ -99,7 +100,8 @@ TEST(AllocGate, CacheHitRsa2048BlockVerifySignatureIsAllocationFree) {
   plan.segments = {aim::PlanSegment{0, 0.0, 12.0}};
   const chain::BlockPtr block =
       chain::Block::package(1, Digest{}, 1'000, {plan}, signer, {VehicleId{9}});
-  const auto verifier = signer.verifier();
+  SigVerifyCache cache;
+  const auto verifier = signer.verifier_with_cache(cache);
   ASSERT_TRUE(block->verify_signature(*verifier));  // miss: computes + populates
 
   // Hit: the signed payload is read in place, never copied.

@@ -1,11 +1,13 @@
 // SigVerifyCache contract: pure-function memoization with exact hit/miss
-// accounting, FIFO bounded capacity, and key-rotation safety. Plus the
-// RsaVerifyContext fast path, which must agree with rsa_verify bit-for-bit.
+// accounting, FIFO bounded capacity that survives a save/restore, and
+// key-rotation safety. Plus the RsaVerifyContext fast path, which must agree
+// with rsa_verify bit-for-bit.
 #include <gtest/gtest.h>
 
 #include "crypto/rsa.h"
 #include "crypto/signer.h"
 #include "crypto/verify_cache.h"
+#include "util/archive.h"
 #include "util/rng.h"
 
 namespace nwade::crypto {
@@ -61,13 +63,30 @@ TEST(SigVerifyCache, CapacityZeroDisablesCaching) {
   EXPECT_FALSE(cache.lookup(digest_of(3)).has_value());
 }
 
-TEST(SigVerifyCache, ShrinkingCapacityEvictsImmediately) {
-  SigVerifyCache cache(8);
-  for (std::uint8_t i = 0; i < 8; ++i) cache.store(digest_of(i), true);
-  cache.set_capacity(2);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_TRUE(cache.lookup(digest_of(7)).has_value());
-  EXPECT_FALSE(cache.lookup(digest_of(0)).has_value());
+TEST(SigVerifyCache, RoundTripKeepsFifoOrderAcrossEntryLists) {
+  // Keys in several of the 16 wire lists (byte 8 picks the list), stored
+  // out of list order, with evictions behind them.
+  SigVerifyCache cache(4);
+  for (const std::uint8_t fill : {3, 17, 5, 33, 2, 19}) {
+    cache.store(digest_of(fill), fill % 2 == 1);
+  }
+  const Bytes saved = to_bytes(cache);
+
+  SigVerifyCache restored;
+  ByteReader r(saved);
+  ASSERT_TRUE(load(r, restored));
+  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(to_bytes(restored), saved);
+  EXPECT_EQ(restored.size(), 4u);
+  EXPECT_EQ(restored.capacity(), 4u);
+  EXPECT_EQ(restored.stats().evictions, 2u);
+
+  // The next store evicts the oldest survivor in both, whatever its list.
+  cache.store(digest_of(40), true);
+  restored.store(digest_of(40), true);
+  EXPECT_EQ(to_bytes(restored), to_bytes(cache));
+  EXPECT_FALSE(restored.lookup(digest_of(5)).has_value());
+  EXPECT_TRUE(restored.lookup(digest_of(33)).has_value());
 }
 
 TEST(SigVerifyCache, KeyOfSeparatesEveryInput) {
@@ -137,13 +156,11 @@ TEST_F(RsaVerifyContextTest, FingerprintChangesWithKey) {
   EXPECT_EQ(a.fingerprint(), RsaVerifyContext(key_pair_->pub).fingerprint());
 }
 
+// The cache is the one the verifier is handed; each World hands in its own.
 TEST_F(RsaVerifyContextTest, RsaVerifierPopulatesProcessCache) {
-  auto& cache = SigVerifyCache::instance();
-  cache.clear();
-  cache.reset_stats();
-
+  SigVerifyCache cache;
   const RsaSigner signer(*key_pair_);
-  const auto verifier = signer.verifier();
+  const auto verifier = signer.verifier_with_cache(cache);
   const Bytes msg{'b', 'l', 'o', 'c', 'k'};
   const Bytes sig = signer.sign(msg);
 
@@ -156,18 +173,21 @@ TEST_F(RsaVerifyContextTest, RsaVerifierPopulatesProcessCache) {
 
   // A second verifier for the SAME key shares the entries (fingerprint
   // equality), which is exactly the N-receivers-one-modexp effect.
-  const auto verifier2 = RsaSigner(*key_pair_).verifier();
+  const auto verifier2 = RsaSigner(*key_pair_).verifier_with_cache(cache);
   EXPECT_TRUE(verifier2->verify(msg, sig));
   EXPECT_EQ(cache.stats().hits, 3u);
 
   // A different key never aliases: same msg/sig, fresh fingerprint -> miss.
   Rng rng(88);
   const RsaSigner other(rsa_generate(rng, 512));
-  EXPECT_FALSE(other.verifier()->verify(msg, sig));
+  EXPECT_FALSE(other.verifier_with_cache(cache)->verify(msg, sig));
   EXPECT_EQ(cache.stats().misses, 2u);
 
-  cache.clear();
-  cache.reset_stats();
+  // The plain verifier memoizes nowhere.
+  EXPECT_TRUE(signer.verifier()->verify(msg, sig));
+  EXPECT_EQ(cache.stats().hits, 3u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 }  // namespace

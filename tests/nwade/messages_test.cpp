@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "nwade/im_node.h"
+#include "nwade/message_codec.h"
 #include "nwade/vehicle_node.h"
 
 namespace nwade::protocol {
@@ -49,6 +50,28 @@ TEST(Messages, BlockBroadcastSizeTracksBlock) {
   large.block = chain::Block::package(0, {}, 0, many, signer);
   EXPECT_GT(large.wire_size(), small.wire_size());
   EXPECT_EQ(large.wire_size(), large.block->serialize().size());
+}
+
+TEST(Messages, CodecRejectsTagsPastTheLastKind) {
+  // A message's tag is its kind's index; GlobalReport is the last kind.
+  GlobalReport report;
+  report.reporter = VehicleId{7};
+  ByteWriter w;
+  WriteArchive out(w);
+  encode_message(out, report);
+  ASSERT_EQ(w.data().at(0), 9);
+  {
+    ByteReader r(w.data());
+    ReadArchive in(r);
+    EXPECT_NE(decode_message(in), nullptr);
+    EXPECT_TRUE(in.ok() && r.at_end());
+  }
+  Bytes unknown = w.data();
+  unknown[0] = 10;
+  ByteReader r(unknown);
+  ReadArchive in(r);
+  EXPECT_EQ(decode_message(in), nullptr);
+  EXPECT_FALSE(in.ok());
 }
 
 TEST(Names, GlobalReasons) {

@@ -8,8 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "crypto/verify_cache.h"
-
 namespace nwade::sim {
 namespace {
 
@@ -86,26 +84,30 @@ TEST(Campaign, AggregateGroupsRoundsPerMatrixPoint) {
   }
 }
 
-// Worlds inject a per-run SigVerifyCache into their vehicles' verifiers, so
-// an RSA campaign cell must leave the process-wide singleton cache untouched
-// — that isolation is what lets concurrent cells share nothing.
-TEST(Campaign, RsaRunsUseThePerWorldCacheNotTheSingleton) {
-  auto& singleton = crypto::SigVerifyCache::instance();
-  singleton.reset();
+// Each RSA cell memoizes signature verdicts in its own World's cache, which
+// only the pool thread running that cell touches: the pool size cannot
+// change a result byte, and the TSan tree sees no two threads share a cache.
+TEST(Campaign, RsaResultsByteIdenticalAcrossPoolSizes) {
+  CampaignConfig cfg;
+  cfg.attacks = {"benign", "V1"};
+  cfg.densities_vpm = {60.0};
+  cfg.rounds = 2;
+  cfg.base_seed = 3;
+  cfg.duration_ms = 10'000;
+  cfg.base.signer = SignerKind::kRsa1024;
+  cfg.threads = 1;
+  const auto serial = run_campaign(cfg);
+  for (const CellResult& r : serial) {
+    const auto& gauges = r.summary.metrics_snapshot.gauges;
+    const auto hits = gauges.find("crypto.sig_cache.hits");
+    ASSERT_NE(hits, gauges.end());
+    EXPECT_GT(hits->second, 0) << "cell " << r.cell.attack << " round "
+                               << r.cell.round << " never hit its cache";
+  }
+  const std::string reference = campaign_results_json(cfg, serial);
 
-  ScenarioConfig sc;
-  sc.intersection.kind = traffic::IntersectionKind::kCross4;
-  sc.vehicles_per_minute = 60;
-  sc.duration_ms = 10'000;
-  sc.seed = 3;
-  sc.signer = SignerKind::kRsa1024;
-  const RunSummary summary = World(sc).run();
-  EXPECT_GT(summary.metrics.blocks_published, 0);
-
-  const auto stats = singleton.stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(singleton.size(), 0u);
+  cfg.threads = 4;
+  EXPECT_EQ(campaign_results_json(cfg, run_campaign(cfg)), reference);
 }
 
 }  // namespace

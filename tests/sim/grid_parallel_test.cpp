@@ -60,6 +60,34 @@ TEST(GridParallel, FourByFourDigestByteIdenticalAcrossThreadCounts) {
   }
 }
 
+// Every shard memoizes signature verdicts in its own World's cache, which
+// only the pool thread stepping that shard touches: an RSA lattice on four
+// threads reproduces the serial digest, and the TSan tree sees no two
+// threads share a cache.
+TEST(GridParallel, RsaLatticeDigestByteIdenticalAcrossThreadCounts) {
+  std::string reference;
+  for (const int threads : {1, 4}) {
+    GridConfig cfg = lattice(2, threads);
+    cfg.shard.signer = SignerKind::kRsa1024;
+    cfg.shard.duration_ms = 20'000;
+    Grid grid(cfg);
+    const std::string digest = Grid::summary_digest(grid.run());
+    if (threads == 1) {
+      reference = digest;
+      for (int r = 0; r < grid.rows(); ++r) {
+        for (int c = 0; c < grid.cols(); ++c) {
+          const auto gauges = grid.shard(r, c).summary().metrics_snapshot.gauges;
+          const auto hits = gauges.find("crypto.sig_cache.hits");
+          ASSERT_NE(hits, gauges.end());
+          EXPECT_GT(hits->second, 0) << "shard " << r << "," << c;
+        }
+      }
+    } else {
+      EXPECT_EQ(digest, reference) << "grid_threads=" << threads;
+    }
+  }
+}
+
 TEST(GridParallel, MergedMetricsByteIdenticalAcrossThreadCountsAndEqualsFold) {
   std::string reference;
   for (const int threads : {1, 2, 4, 8}) {

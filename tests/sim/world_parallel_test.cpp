@@ -2,10 +2,9 @@
 // TSan tree vets the chunked fan-out): `ScenarioConfig::step_threads` may
 // only change the wall clock, never a result byte. The chunked physics /
 // watch / gap-audit kernels use fixed chunk boundaries and fixed-order
-// merges, and the batched signature prefetch is required to leave both the
-// verify-cache content and its hit/miss statistics exactly as the serial
-// path does — so any thread count must reproduce the single-threaded run
-// bit for bit, summary digest included.
+// merges, and signatures are verified on the stepping thread during event
+// delivery — so any thread count must reproduce the single-threaded run bit
+// for bit, summary digest included.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -95,8 +94,7 @@ TEST(WorldParallel, StepThreadsByteIdenticalAcross1248) {
       }
     }
     // The summary digest additionally folds the telemetry snapshot (verify-
-    // cache hit/miss gauges included), pinning the batched prefetch's
-    // stats-neutrality on top of the simulation outcome.
+    // cache hit/miss gauges included) on top of the simulation outcome.
     const std::string digest =
         checkpoint::run_summary_digest(worlds[0]->run());
     for (std::size_t i = 1; i < worlds.size(); ++i) {
@@ -107,12 +105,10 @@ TEST(WorldParallel, StepThreadsByteIdenticalAcross1248) {
   }
 }
 
-// RSA signatures make the batched verification wave real work: with
-// step_threads > 1 the world collects every pending block signature due in
-// the step, verifies the unseen ones through the pool, and seeds the batch
-// table — receivers must then observe exactly the hits and misses the
-// serial path would have produced.
-TEST(WorldParallel, BatchedRsaVerificationByteIdentical) {
+// RSA signatures make verification real work and fill the run's verify
+// cache: with step_threads > 1 receivers must still observe exactly the
+// hits and misses of the serial run (the digest folds the cache gauges).
+TEST(WorldParallel, RsaVerificationByteIdenticalUnderThreads) {
   ScenarioConfig cfg = golden(traffic::IntersectionKind::kCross4, 80, 5);
   cfg.attack = protocol::AttackSetting{"deviation", 1, false, 0, 0};
   cfg.signer = SignerKind::kRsa1024;
@@ -122,10 +118,10 @@ TEST(WorldParallel, BatchedRsaVerificationByteIdentical) {
   threaded.step_threads = 4;
 
   const RunSummary serial = World(cfg).run();
-  const RunSummary batched = World(threaded).run();
+  const RunSummary parallel = World(threaded).run();
   ASSERT_GT(serial.metrics.blocks_published, 0);  // the wave actually ran
-  EXPECT_EQ(fingerprint(batched), fingerprint(serial));
-  EXPECT_EQ(checkpoint::run_summary_digest(batched),
+  EXPECT_EQ(fingerprint(parallel), fingerprint(serial));
+  EXPECT_EQ(checkpoint::run_summary_digest(parallel),
             checkpoint::run_summary_digest(serial));
 }
 
