@@ -47,6 +47,7 @@
 #include "svc/sink.h"
 #include "svc/streamer.h"
 #include "util/file_io.h"
+#include "util/json.h"
 #include "util/wall_clock.h"
 
 using namespace nwade;
@@ -186,7 +187,8 @@ std::string grid_summary_json(const sim::Grid& grid,
   std::ostringstream json;
   json << "{\n  \"schema\": \"nwade-grid-summary-v1\",\n"
        << "  \"rows\": " << s.rows << ",\n  \"cols\": " << s.cols << ",\n"
-       << "  \"attack\": \"" << grid.config().shard.attack.name << "\",\n"
+       << "  \"attack\": " << util::json::quoted(grid.config().shard.attack.name)
+       << ",\n"
        << "  \"attack_shard\": " << grid.config().attack_shard << ",\n"
        << "  \"grid_digest\": \"" << sim::Grid::summary_digest(s) << "\",\n"
        << "  \"handoffs_sent\": " << s.handoffs_sent << ",\n"

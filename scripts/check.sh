@@ -8,7 +8,9 @@
 # the bench_grid smoke both carry it; see docs/FAULT_MODEL.md,
 # docs/CHECKPOINT.md, docs/GRID.md), including RSA grid and campaign runs
 # whose concurrent worlds each verify through their own unlocked signature
-# cache, so one shared between threads would be reported; ASan adds the obs
+# cache and write their own unlocked metrics registry and tracer (plain
+# single-owner objects), so any of them shared between threads would be
+# reported; ASan adds the obs
 # and soak labels (the TCP sink machinery, serve's snapshot restore probe and
 # resume path); UBSan runs the full suite with UBSAN_OPTIONS=halt_on_error=1,
 # so any report fails the test that reached it.

@@ -128,7 +128,7 @@ void Network::deliver_pending(std::uint64_t id) {
   if (config_.fault.node_down(env.to, clock_.now())) {
     lost_outage_.inc();
     count_drop(env);
-    if (tracer_ != nullptr && util::trace::tracing_active()) {
+    if (tracer_ != nullptr && tracer_->enabled()) {
       tracer_->instant("net", "outage_loss", clock_.now(), "node",
                        static_cast<std::int64_t>(env.to.value));
     }
@@ -152,7 +152,7 @@ void Network::deliver_later(Envelope env) {
     // A dark sender emits nothing; the copy never reaches the medium.
     lost_outage_.inc();
     count_drop(env);
-    if (tracer_ != nullptr && util::trace::tracing_active()) {
+    if (tracer_ != nullptr && tracer_->enabled()) {
       tracer_->instant("net", "outage_loss", clock_.now(), "node",
                        static_cast<std::int64_t>(env.from.value));
     }
@@ -167,7 +167,7 @@ void Network::deliver_later(Envelope env) {
   if (packet_lost(env)) {
     dropped_.inc();
     count_drop(env);
-    if (tracer_ != nullptr && util::trace::tracing_active()) {
+    if (tracer_ != nullptr && tracer_->enabled()) {
       tracer_->instant("net", "packet_drop", clock_.now(), "to",
                        static_cast<std::int64_t>(env.to.value));
     }
@@ -183,7 +183,7 @@ void Network::deliver_later(Envelope env) {
   if (fault.duplicate_probability > 0 && rng_.chance(fault.duplicate_probability)) {
     duplicated_.inc();
     kind.duplicated.inc();
-    if (tracer_ != nullptr && util::trace::tracing_active()) {
+    if (tracer_ != nullptr && tracer_->enabled()) {
       tracer_->instant("net", "packet_dup", clock_.now(), "to",
                        static_cast<std::int64_t>(env.to.value));
     }
@@ -294,24 +294,6 @@ const NetworkStats& Network::stats() const {
     }
   }
   return s;
-}
-
-void Network::reset_stats() {
-  sent_.reset();
-  delivered_.reset();
-  dropped_.reset();
-  out_of_range_.reset();
-  duplicated_.reset();
-  lost_outage_.reset();
-  bytes_sent_.reset();
-  for (auto& [kind, h] : kind_handles_) {
-    h.packets.reset();
-    h.bytes.reset();
-    h.dropped.reset();
-    h.duplicated.reset();
-    h.latency_ms.reset();
-  }
-  stats_view_ = NetworkStats{};
 }
 
 template <class Ar, class Self>

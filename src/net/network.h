@@ -121,9 +121,8 @@ class Network {
   void broadcast(NodeId from, MessagePtr msg);
 
   /// Rebuilds the stats view from the registry counters and returns it.
-  /// The reference stays valid until the next stats()/reset_stats() call.
+  /// The reference stays valid until the next stats() call.
   const NetworkStats& stats() const;
-  void reset_stats();
 
   const NetworkConfig& config() const { return config_; }
 

@@ -48,12 +48,12 @@ ImNode::ImNode(ImContext ctx, aim::SchedulerConfig scheduler_config,
 
 void ImNode::trace_instant(const char* cat, const char* name, Tick now,
                            std::int64_t arg) const {
-  if (ctx_.tracer == nullptr || !util::trace::tracing_active()) return;
+  if (ctx_.tracer == nullptr || !ctx_.tracer->enabled()) return;
   ctx_.tracer->instant(cat, name, now, "id", arg);
 }
 
 void ImNode::trace_round_end(const VerificationRound& round, Tick now) const {
-  if (ctx_.tracer == nullptr || !util::trace::tracing_active()) return;
+  if (ctx_.tracer == nullptr || !ctx_.tracer->enabled()) return;
   ctx_.tracer->complete("nwade", "verify_round", round.started_at, now,
                         /*wall_us=*/-1.0, "suspect",
                         static_cast<std::int64_t>(round.suspect.value));
@@ -183,7 +183,7 @@ void ImNode::process_window() {
   plans_scheduled_counter_.inc(plan_count);
   reservations_gauge_.set(
       static_cast<std::int64_t>(scheduler_.reservation_count()));
-  if (ctx_.tracer != nullptr && util::trace::tracing_active()) {
+  if (ctx_.tracer != nullptr && ctx_.tracer->enabled()) {
     ctx_.tracer->complete("aim", "process_window", now, ctx_.clock->now(),
                           window_us, "plans", plan_count);
   }
@@ -200,7 +200,7 @@ void ImNode::publish_block(std::vector<aim::TravelPlan> plans, bool count_timing
                                                 *ctx_.signer, std::move(revoked));
   const double package_us = elapsed_us(t0);
   if (count_timing) ctx_.metrics->im_package_us.push_back(package_us);
-  if (ctx_.tracer != nullptr && util::trace::tracing_active()) {
+  if (ctx_.tracer != nullptr && ctx_.tracer->enabled()) {
     ctx_.tracer->complete("chain", "package", now, now, package_us, "plans",
                           plan_count);
   }

@@ -65,7 +65,7 @@ VehicleNode::VehicleNode(VehicleContext ctx, VehicleId id, int route_id,
 
 void VehicleNode::trace_instant(const char* cat, const char* name,
                                 Tick now) const {
-  if (ctx_.tracer == nullptr || !util::trace::tracing_active()) return;
+  if (ctx_.tracer == nullptr || !ctx_.tracer->enabled()) return;
   ctx_.tracer->instant(cat, name, now, "vehicle",
                        static_cast<std::int64_t>(id_.value));
 }
@@ -166,26 +166,11 @@ void VehicleNode::step(Tick now, Duration dt_ms) {
       v_ = std::max(v_ - limits.max_decel_mps2 * dt, 0.0);
     }
     s_ += v_ * dt;
-  } else if (state_ == VehicleState::kSelfEvacuation) {
-    if (s_ < route.core_begin - 5.0) {
-      // Pull over before the junction: brake and move onto the shoulder so
-      // watchers can tell a parked evacuee from an in-lane blocker.
-      v_ = std::max(v_ - limits.max_decel_mps2 * dt, 0.0);
-      lateral_offset_ = std::min(lateral_offset_ + 1.0 * dt, 3.5);
-    } else if (s_ < route.core_end) {
-      // Already inside: clear the core promptly but carefully.
-      v_ = std::max(v_, 0.4 * limits.speed_limit_mps);
-    } else {
-      v_ = std::min(v_ + limits.max_accel_mps2 * dt, limits.speed_limit_mps);
-    }
-    s_ += v_ * dt;
   } else if (state_ == VehicleState::kDegraded) {
     step_degraded(now, dt, route);
-  } else if (plan_) {
-    s_ = plan_->s_at(now);
-    v_ = plan_->v_at(now);
+  } else {
+    move_managed(now, dt, route);
   }
-  // else: preparation — hold at the communication-zone edge.
 
   if (s_ >= route.path.length() - 0.05) {
     if (state_ == VehicleState::kDegraded) ctx_.metrics->degraded_crossings++;
@@ -279,19 +264,17 @@ bool VehicleNode::step_has_side_effects(Tick now) const {
   return false;
 }
 
-bool VehicleNode::step_kinematics(Tick now, Duration dt_ms) {
-  assert(!step_has_side_effects(now));
-  const auto& route = ctx_.intersection->route(route_id_);
+void VehicleNode::move_managed(Tick now, double dt,
+                               const traffic::Route& route) {
   const auto& limits = ctx_.intersection->config().limits;
-  const double dt = static_cast<double>(dt_ms) / 1000.0;
-
-  // The side-effect-free subset of step()'s physics branches: no deviation
-  // latch (deviators are classified impure), no degraded mode.
   if (state_ == VehicleState::kSelfEvacuation) {
     if (s_ < route.core_begin - 5.0) {
+      // Pull over before the junction: brake and move onto the shoulder so
+      // watchers can tell a parked evacuee from an in-lane blocker.
       v_ = std::max(v_ - limits.max_decel_mps2 * dt, 0.0);
       lateral_offset_ = std::min(lateral_offset_ + 1.0 * dt, 3.5);
     } else if (s_ < route.core_end) {
+      // Already inside: clear the core promptly but carefully.
       v_ = std::max(v_, 0.4 * limits.speed_limit_mps);
     } else {
       v_ = std::min(v_ + limits.max_accel_mps2 * dt, limits.speed_limit_mps);
@@ -302,6 +285,14 @@ bool VehicleNode::step_kinematics(Tick now, Duration dt_ms) {
     v_ = plan_->v_at(now);
   }
   // else: preparation — hold at the communication-zone edge.
+}
+
+bool VehicleNode::step_kinematics(Tick now, Duration dt_ms) {
+  assert(!step_has_side_effects(now));
+  const auto& route = ctx_.intersection->route(route_id_);
+  // The side-effect-free subset of step()'s physics branches: no deviation
+  // latch (deviators are classified impure), no degraded mode.
+  move_managed(now, static_cast<double>(dt_ms) / 1000.0, route);
 
   if (s_ >= route.path.length() - 0.05) {
     // The caller's fixed-order merge owns the bookkeeping the full step()
@@ -750,7 +741,7 @@ void VehicleNode::handle_block(const chain::BlockPtr& block_ptr, Tick now) {
   const bool ok = verify_block(block_ptr, now, &why);
   const double verify_us = elapsed_us(t0);
   ctx_.metrics->vehicle_verify_us.push_back(verify_us);
-  if (ctx_.tracer != nullptr && util::trace::tracing_active()) {
+  if (ctx_.tracer != nullptr && ctx_.tracer->enabled()) {
     ctx_.tracer->complete("chain", "verify_block", now, now, verify_us,
                           "vehicle", static_cast<std::int64_t>(id_.value));
   }

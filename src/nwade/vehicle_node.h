@@ -229,6 +229,9 @@ class VehicleNode final : public net::Node {
   void retry_plan_request(Tick now);
   void enter_degraded(Tick now);
   void step_degraded(Tick now, double dt, const traffic::Route& route);
+  /// Self-evacuation and plan following: the motion step() and
+  /// step_kinematics() share.
+  void move_managed(Tick now, double dt, const traffic::Route& route);
   /// True when our sensors show the conflict area clear for long enough to
   /// cross it at the degraded creep speed (see docs/FAULT_MODEL.md).
   bool degraded_box_clear(Tick now) const;

@@ -10,6 +10,7 @@
 #include "sim/checkpoint.h"
 #include "util/crc32.h"
 #include "util/file_io.h"
+#include "util/json.h"
 #include "util/worker_pool.h"
 
 namespace nwade::sim {
@@ -35,7 +36,7 @@ std::string cell_row(const CellResult& r) {
   const auto detection = m.deviation_detection_time();
   std::string out = "{";
   out += "\"kind\": \"" + std::string(intersection_name(r.cell.kind)) + "\", ";
-  out += "\"attack\": \"" + r.cell.attack + "\", ";
+  out += "\"attack\": " + util::json::quoted(r.cell.attack) + ", ";
   out += "\"vpm\": " + num(r.cell.vpm, 1) + ", ";
   out += "\"round\": " + num(r.cell.round) + ", ";
   out += "\"seed\": " + num(r.cell.seed) + ", ";
@@ -73,7 +74,7 @@ std::string cell_row(const CellResult& r) {
 std::string aggregate_row(const CellAggregate& a) {
   std::string out = "{";
   out += "\"kind\": \"" + std::string(intersection_name(a.kind)) + "\", ";
-  out += "\"attack\": \"" + a.attack + "\", ";
+  out += "\"attack\": " + util::json::quoted(a.attack) + ", ";
   out += "\"vpm\": " + num(a.vpm, 1) + ", ";
   out += "\"rounds\": " + num(a.rounds) + ", ";
   out += "\"mean_throughput_vpm\": " + num(a.mean_throughput_vpm) + ", ";

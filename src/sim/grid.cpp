@@ -35,6 +35,23 @@ constexpr const char* kSectionGrid = "grid";
 /// extensions); unknown sections are skipped after their CRC checks out.
 constexpr std::size_t kGridMaxSections = 256;
 
+/// Moves the items of `pending` due by `t` out and hands each to `deliver`
+/// in (deliver_at, seq) order; the rest stay queued in their order.
+template <class Item, class Deliver>
+void drain_due(std::vector<Item>& pending, Tick t, Deliver&& deliver) {
+  std::vector<Item> due;
+  std::vector<Item> keep;
+  for (Item& item : pending) {
+    (item.deliver_at <= t ? due : keep).push_back(std::move(item));
+  }
+  pending = std::move(keep);
+  std::sort(due.begin(), due.end(), [](const Item& a, const Item& b) {
+    return a.deliver_at != b.deliver_at ? a.deliver_at < b.deliver_at
+                                        : a.seq < b.seq;
+  });
+  for (const Item& item : due) deliver(item);
+}
+
 }  // namespace
 
 Grid::Grid(GridConfig config) : Grid(std::move(config), true) {}
@@ -236,48 +253,20 @@ void Grid::exchange(Tick t) {
   // seq) order within an edge so jitter-induced reordering is deterministic).
   for (Edge& e : edges_) {
     World& target = *shards_[static_cast<std::size_t>(e.to)];
-    {
-      std::vector<PendingHandoff> due;
-      std::vector<PendingHandoff> keep;
-      for (PendingHandoff& h : e.handoffs) {
-        (h.deliver_at <= t ? due : keep).push_back(std::move(h));
+    drain_due(e.handoffs, t, [&](const PendingHandoff& h) {
+      if (h.legacy) {
+        target.inject_legacy(h.id, h.route_id, h.traits, h.speed_mps);
+      } else {
+        target.inject_vehicle(h.id, h.route_id, h.traits, h.speed_mps,
+                              h.attack);
       }
-      e.handoffs = std::move(keep);
-      std::sort(due.begin(), due.end(),
-                [](const PendingHandoff& a, const PendingHandoff& b) {
-                  return a.deliver_at != b.deliver_at
-                             ? a.deliver_at < b.deliver_at
-                             : a.seq < b.seq;
-                });
-      for (const PendingHandoff& h : due) {
-        if (h.legacy) {
-          target.inject_legacy(h.id, h.route_id, h.traits, h.speed_mps);
-        } else {
-          target.inject_vehicle(h.id, h.route_id, h.traits, h.speed_mps,
-                                h.attack);
-        }
-        ++handoffs_delivered_;
+      ++handoffs_delivered_;
+    });
+    drain_due(e.gossip, t, [&](const PendingGossip& g) {
+      for (const VehicleId s : g.suspects) {
+        if (target.import_blacklist(s)) ++gossip_imports_;
       }
-    }
-    {
-      std::vector<PendingGossip> due;
-      std::vector<PendingGossip> keep;
-      for (PendingGossip& g : e.gossip) {
-        (g.deliver_at <= t ? due : keep).push_back(std::move(g));
-      }
-      e.gossip = std::move(keep);
-      std::sort(due.begin(), due.end(),
-                [](const PendingGossip& a, const PendingGossip& b) {
-                  return a.deliver_at != b.deliver_at
-                             ? a.deliver_at < b.deliver_at
-                             : a.seq < b.seq;
-                });
-      for (const PendingGossip& g : due) {
-        for (const VehicleId s : g.suspects) {
-          if (target.import_blacklist(s)) ++gossip_imports_;
-        }
-      }
-    }
+    });
   }
 }
 

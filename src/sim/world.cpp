@@ -396,8 +396,8 @@ void World::step_world(Tick now) {
   // Per-phase profiling: one 'X' span per phase per step, sim-duration 0
   // (nothing inside a step advances sim time) with the wall cost in the
   // explicitly non-deterministic wall_us argument. Wall clocks are read only
-  // when tracing, so disabled runs pay one relaxed load per step.
-  const bool tracing = util::trace::tracing_active() && tracer_.enabled();
+  // when tracing, so disabled runs pay one flag check per step.
+  const bool tracing = tracer_.enabled();
   using wall_clock = std::chrono::steady_clock;
   wall_clock::time_point t0;
   const auto phase_begin = [&] {
@@ -604,7 +604,7 @@ std::size_t World::step_gap_audit(Tick now) {
 }
 
 void World::run_until(Tick t) {
-  const bool tracing = util::trace::tracing_active() && tracer_.enabled();
+  const bool tracing = tracer_.enabled();
   while (stepped_until_ < t) {
     stepped_until_ += config_.step_ms;
     if (tracing) {

@@ -1,42 +1,10 @@
 #include "util/telemetry.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 
-#include "util/alloc_stats.h"
+#include "util/json.h"
 
 namespace nwade::util::telemetry {
-
-namespace detail {
-
-void ShardedCell::add(std::int64_t delta) {
-  shards[this_thread_shard()].v.fetch_add(delta, std::memory_order_relaxed);
-}
-
-std::int64_t ShardedCell::sum() const {
-  std::int64_t total = 0;
-  for (const ShardCell& s : shards) {
-    total += s.v.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-void ShardedCell::reset() {
-  for (ShardCell& s : shards) s.v.store(0, std::memory_order_relaxed);
-}
-
-int this_thread_shard() {
-  // Round-robin assignment at first use per thread: cheap, stable for the
-  // thread's lifetime, and spreads WorkerPool threads across cells without
-  // hashing thread ids.
-  static std::atomic<int> next{0};
-  thread_local const int shard =
-      next.fetch_add(1, std::memory_order_relaxed) % kShards;
-  return shard;
-}
-
-}  // namespace detail
 
 HistogramBuckets HistogramBuckets::exponential_ms(std::int64_t max_edge) {
   HistogramBuckets b;
@@ -48,141 +16,47 @@ HistogramBuckets HistogramBuckets::exponential_ms(std::int64_t max_edge) {
 }
 
 void Histogram::observe(std::int64_t value) {
-  if (impl_ == nullptr) return;
+  if (data_ == nullptr) return;
   // First bucket whose upper edge >= value; past the last edge -> overflow.
-  std::size_t lo = 0;
-  std::size_t hi = impl_->edges.size();
-  while (lo < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (impl_->edges[mid] < value) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  impl_->bucket_counts[lo].add(1);
-  impl_->count.add(1);
-  impl_->sum.add(value);
-}
-
-std::int64_t Histogram::count() const {
-  return impl_ != nullptr ? impl_->count.sum() : 0;
-}
-
-std::int64_t Histogram::sum() const {
-  return impl_ != nullptr ? impl_->sum.sum() : 0;
-}
-
-void Histogram::reset() {
-  if (impl_ == nullptr) return;
-  for (detail::ShardedCell& b : impl_->bucket_counts) b.reset();
-  impl_->count.reset();
-  impl_->sum.reset();
-}
-
-Registry& Registry::process() {
-  static Registry instance;
-  return instance;
-}
-
-Counter Registry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<detail::ShardedCell>();
-  return Counter(slot.get());
-}
-
-Gauge Registry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) slot = std::make_unique<std::atomic<std::int64_t>>(0);
-  return Gauge(slot.get());
+  const auto& edges = data_->upper_edges;
+  const auto bucket = std::lower_bound(edges.begin(), edges.end(), value);
+  ++data_->bucket_counts[static_cast<std::size_t>(bucket - edges.begin())];
+  ++data_->count;
+  data_->sum += value;
 }
 
 Histogram Registry::histogram(const std::string& name,
                               const HistogramBuckets& buckets) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<detail::HistogramImpl>();
-    slot->edges = buckets.upper_edges;
-    slot->bucket_counts =
-        std::vector<detail::ShardedCell>(buckets.upper_edges.size() + 1);
+  const auto [it, inserted] = data_.histograms.try_emplace(name);
+  if (inserted) {
+    it->second.upper_edges = buckets.upper_edges;
+    it->second.bucket_counts.assign(buckets.upper_edges.size() + 1, 0);
   }
-  return Histogram(slot.get());
-}
-
-MetricsSnapshot Registry::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  MetricsSnapshot snap;
-  for (const auto& [name, cell] : counters_) {
-    snap.counters[name] = cell->sum();
-  }
-  for (const auto& [name, cell] : gauges_) {
-    snap.gauges[name] = cell->load(std::memory_order_relaxed);
-  }
-  for (const auto& [name, impl] : histograms_) {
-    MetricsSnapshot::HistogramData h;
-    h.upper_edges = impl->edges;
-    h.bucket_counts.reserve(impl->bucket_counts.size());
-    for (const detail::ShardedCell& b : impl->bucket_counts) {
-      h.bucket_counts.push_back(b.sum());
-    }
-    h.count = impl->count.sum();
-    h.sum = impl->sum.sum();
-    snap.histograms[name] = std::move(h);
-  }
-  return snap;
-}
-
-void Registry::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, cell] : counters_) cell->reset();
-  for (auto& [name, cell] : gauges_) {
-    cell->store(0, std::memory_order_relaxed);
-  }
-  for (auto& [name, impl] : histograms_) {
-    for (detail::ShardedCell& b : impl->bucket_counts) b.reset();
-    impl->count.reset();
-    impl->sum.reset();
-  }
+  return Histogram(&it->second);
 }
 
 void Registry::restore(const MetricsSnapshot& snap) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, cell] : counters_) cell->reset();
-  for (auto& [name, cell] : gauges_) cell->store(0, std::memory_order_relaxed);
-  for (auto& [name, impl] : histograms_) {
-    for (detail::ShardedCell& b : impl->bucket_counts) b.reset();
-    impl->count.reset();
-    impl->sum.reset();
+  for (auto& [name, v] : data_.counters) v = 0;
+  for (auto& [name, v] : data_.gauges) v = 0;
+  for (auto& [name, h] : data_.histograms) {
+    std::fill(h.bucket_counts.begin(), h.bucket_counts.end(), 0);
+    h.count = 0;
+    h.sum = 0;
   }
-  for (const auto& [name, v] : snap.counters) {
-    auto& slot = counters_[name];
-    if (slot == nullptr) slot = std::make_unique<detail::ShardedCell>();
-    slot->shards[0].v.store(v, std::memory_order_relaxed);
-  }
-  for (const auto& [name, v] : snap.gauges) {
-    auto& slot = gauges_[name];
-    if (slot == nullptr) slot = std::make_unique<std::atomic<std::int64_t>>(0);
-    slot->store(v, std::memory_order_relaxed);
-  }
-  for (const auto& [name, h] : snap.histograms) {
-    auto& slot = histograms_[name];
-    if (slot == nullptr) slot = std::make_unique<detail::HistogramImpl>();
-    // Replace the shape in place: the impl's address (what handles cache)
-    // stays stable even when the edge vector changes.
-    slot->edges = h.upper_edges;
-    slot->bucket_counts =
-        std::vector<detail::ShardedCell>(h.upper_edges.size() + 1);
-    const std::size_t n =
-        std::min(slot->bucket_counts.size(), h.bucket_counts.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      slot->bucket_counts[i].shards[0].v.store(h.bucket_counts[i],
-                                               std::memory_order_relaxed);
-    }
-    slot->count.shards[0].v.store(h.count, std::memory_order_relaxed);
-    slot->sum.shards[0].v.store(h.sum, std::memory_order_relaxed);
+  for (const auto& [name, v] : snap.counters) data_.counters[name] = v;
+  for (const auto& [name, v] : snap.gauges) data_.gauges[name] = v;
+  for (const auto& [name, in] : snap.histograms) {
+    MetricsSnapshot::HistogramData& h = data_.histograms[name];
+    // `snap` may come from a checkpoint file: size the bucket row from the
+    // edges, never from the input's row, so observe() cannot index past its
+    // end when the two disagree.
+    h.upper_edges = in.upper_edges;
+    h.bucket_counts.assign(in.upper_edges.size() + 1, 0);
+    std::copy_n(in.bucket_counts.begin(),
+                std::min(h.bucket_counts.size(), in.bucket_counts.size()),
+                h.bucket_counts.begin());
+    h.count = in.count;
+    h.sum = in.sum;
   }
 }
 
@@ -211,29 +85,8 @@ std::int64_t MetricsSnapshot::HistogramData::quantile_upper_edge(
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-void append_int(std::string& out, std::int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out += buf;
-}
+using json::append_int;
+using json::append_string;
 
 void append_int_array(std::string& out, const std::vector<std::int64_t>& xs) {
   out += "[";
@@ -268,14 +121,16 @@ void append_histogram(std::string& o,
 template <typename Map, typename AppendValue>
 void append_section(std::string& out, const char* title, const Map& map,
                     const std::string& pad, AppendValue&& append_value) {
-  out += pad + "\"" + title + "\": {";
+  out += pad;
+  append_string(out, title);
+  out += ": {";
   bool first = true;
   for (const auto& [name, value] : map) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += pad + "  \"";
-    append_escaped(out, name);
-    out += "\": ";
+    out += pad + "  ";
+    append_string(out, name);
+    out += ": ";
     append_value(out, value);
   }
   if (!first) out += "\n" + pad;
@@ -304,14 +159,14 @@ std::string MetricsSnapshot::json(const std::string& indent) const {
 std::string MetricsSnapshot::json_compact() const {
   const auto append_compact_section = [](std::string& out, const char* title,
                                          const auto& map, auto&& append_value) {
-    out += "\"" + std::string(title) + "\": {";
+    append_string(out, title);
+    out += ": {";
     bool first = true;
     for (const auto& [name, value] : map) {
       if (!first) out += ", ";
       first = false;
-      out += "\"";
-      append_escaped(out, name);
-      out += "\": ";
+      append_string(out, name);
+      out += ": ";
       append_value(out, value);
     }
     out += "}";
@@ -401,14 +256,6 @@ MetricsSnapshot MetricsSnapshot::diff(const MetricsSnapshot& prev) const {
     d.histograms[name] = std::move(delta);
   }
   return d;
-}
-
-void fold_alloc_stats(Registry& r) {
-  if (!alloc_counting_enabled()) return;
-  r.gauge("process.alloc.allocations")
-      .set(static_cast<std::int64_t>(process_alloc_count()));
-  r.gauge("process.alloc.frees")
-      .set(static_cast<std::int64_t>(process_free_count()));
 }
 
 }  // namespace nwade::util::telemetry

@@ -13,39 +13,25 @@
 //   * JSONL (jsonl) — one event per line for ad-hoc tooling (jq, pandas).
 //
 // Cost model (the contract the telemetry bench enforces):
-//   * `tracing_active()` is one relaxed atomic load of a process-wide
-//     counter of enabled tracers. Instrumented hot paths check it first, so
-//     a build with tracing compiled in but disabled pays one load + one
-//     predictable branch — and allocates nothing.
+//   * A tracer is written only by the thread that owns it (for a World's
+//     tracer, the thread stepping that World), so it is a plain flag and a
+//     vector: no lock, no atomics.
+//   * Every instrumented site gates on its own tracer
+//     (`tracer != nullptr && tracer->enabled()`), so a run with tracing off
+//     pays one load of its own flag and one predictable branch per site,
+//     and allocates nothing.
 //   * Event names/categories/argument keys must be string literals (the
 //     tracer stores the pointers); dynamic values go in the integer arg.
-//   * Appends lock a mutex only when the tracer is enabled. A World-scoped
-//     tracer is only ever appended to by the thread stepping that world, so
-//     the lock is uncontended; it exists so process-scoped tracers stay
-//     TSan-clean.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/types.h"
 
 namespace nwade::util::trace {
-
-namespace detail {
-/// Number of enabled tracers in the process; 0 = every trace macro/helper
-/// short-circuits after a single relaxed load.
-extern std::atomic<int> g_active_tracers;
-}  // namespace detail
-
-/// True when at least one tracer anywhere is enabled. The first check on
-/// every instrumented path.
-inline bool tracing_active() {
-  return detail::g_active_tracers.load(std::memory_order_relaxed) != 0;
-}
 
 /// One recorded event. Plain data; name/cat/arg_key must outlive the tracer
 /// (string literals in practice).
@@ -64,18 +50,11 @@ struct Event {
 class Tracer {
  public:
   Tracer() = default;
-  ~Tracer();
-
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// The process-wide default instance (disabled until someone enables it).
-  static Tracer& process();
-
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  /// Enabling/disabling maintains the process-wide active count behind
-  /// tracing_active(). Idempotent.
-  void set_enabled(bool on);
+  bool enabled() const { return enabled_; }
+  void set_enabled(bool on) { enabled_ = on; }
 
   /// Records an instant event at simulated time `ts_ms`.
   void instant(const char* cat, const char* name, Tick ts_ms,
@@ -88,12 +67,10 @@ class Tracer {
                 double wall_us = -1.0, const char* arg_key = nullptr,
                 std::int64_t arg_value = 0);
 
-  std::size_t size() const;
-  void clear();
+  std::size_t size() const { return events_.size(); }
   /// Moves the recorded events out (the tracer keeps running empty).
-  std::vector<Event> take();
-  /// Copies the recorded events (tests/inspection).
-  std::vector<Event> events() const;
+  std::vector<Event> take() { return std::exchange(events_, {}); }
+  const std::vector<Event>& events() const { return events_; }
 
   /// Chrome trace_event JSON for this tracer's events (pid 0).
   std::string chrome_json(bool include_wall = true) const;
@@ -101,8 +78,7 @@ class Tracer {
   std::string jsonl(bool include_wall = true) const;
 
  private:
-  std::atomic<bool> enabled_{false};
-  mutable std::mutex mu_;
+  bool enabled_{false};
   std::vector<Event> events_;
 };
 

@@ -50,7 +50,9 @@ TEST(PlanProperty, TimeAtIsLeftInverseOfPosition) {
       // s_at(time_at(s)) == s within tick rounding of the slowest segment.
       EXPECT_NEAR(p.s_at(*t), s, 0.05) << "iter " << iter << " s " << s;
       // No earlier tick reaches s.
-      if (*t > 0) EXPECT_LT(p.s_at(*t - 2), s + 0.05);
+      if (*t > 0) {
+        EXPECT_LT(p.s_at(*t - 2), s + 0.05);
+      }
     }
   }
 }

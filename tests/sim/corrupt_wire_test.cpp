@@ -184,7 +184,9 @@ TEST(CorruptWire, CheckpointRestoreSurvivesMutation) {
     // Per-section CRCs make silent acceptance of a mutated envelope
     // overwhelmingly unlikely; cleanly diagnosing it is the contract. The
     // rare CRC collision would have to restore into a working world anyway.
-    if (restored == nullptr) EXPECT_FALSE(error.empty());
+    if (restored == nullptr) {
+      EXPECT_FALSE(error.empty());
+    }
   }
 
   // Truncation at every section-ish granularity: chop the envelope at 256

@@ -1,10 +1,9 @@
-// util/trace coverage: the enabled/active bookkeeping, event recording, the
-// Chrome trace_event and JSONL exports (well-formedness + field scaling),
-// and the include_wall=false determinism contract.
+// util/trace coverage: the enabled flag, event recording, the Chrome
+// trace_event and JSONL exports (well-formedness + field scaling), and the
+// include_wall=false determinism contract.
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/support.h"
@@ -19,22 +18,6 @@ TEST(Trace, DisabledTracerRecordsNothing) {
   t.instant("cat", "name", 100);
   t.complete("cat", "span", 100, 200);
   EXPECT_EQ(t.size(), 0u);
-}
-
-TEST(Trace, ActiveCountFollowsEnabledTracers) {
-  ASSERT_FALSE(tracing_active()) << "another test leaked an enabled tracer";
-  {
-    Tracer a;
-    a.set_enabled(true);
-    EXPECT_TRUE(tracing_active());
-    a.set_enabled(true);  // idempotent: must not double-count
-    Tracer b;
-    b.set_enabled(true);
-    a.set_enabled(false);
-    EXPECT_TRUE(tracing_active()) << "b is still enabled";
-    // b's destructor must release its slot.
-  }
-  EXPECT_FALSE(tracing_active());
 }
 
 TEST(Trace, RecordsInstantsAndSpansInOrder) {
@@ -140,26 +123,6 @@ TEST(Trace, MultiStreamExportLabelsEachPid) {
   const std::string jsonl = jsonl_trace({a.events(), b.events()}, false);
   EXPECT_NE(jsonl.find("\"pid\": 0"), std::string::npos);
   EXPECT_NE(jsonl.find("\"pid\": 1"), std::string::npos);
-}
-
-TEST(Trace, ConcurrentAppendsAreSafeAndLosslessWhenEnabled) {
-  // Process-scoped tracers may be appended from several threads; the mutex
-  // keeps that TSan-clean (the per-World tracers are single-threaded).
-  Tracer t;
-  t.set_enabled(true);
-  constexpr int kThreads = 4;
-  constexpr int kEvents = 500;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&t, i] {
-      for (int e = 0; e < kEvents; ++e) {
-        t.instant("chaos", "tick", e, "thread", i);
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(t.size(), static_cast<std::size_t>(kThreads * kEvents));
 }
 
 }  // namespace
