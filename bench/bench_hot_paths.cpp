@@ -26,6 +26,7 @@
 #include "chain/block.h"
 #include "crypto/signer.h"
 #include "crypto/verify_cache.h"
+#include "sim/world.h"
 #include "support.h"
 #include "traffic/arrivals.h"
 #include "util/rng.h"

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/world.h"
 #include "support.h"
 
 namespace {

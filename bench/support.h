@@ -1,15 +1,13 @@
-// Shared plumbing for the experiment harnesses: scenario runners, repetition
-// control, and plain-text table output mirroring the paper's tables/figures.
+// Shared plumbing for the perf drivers: timing, allocation counting, minimal
+// JSON emission and the nwade-bench-v1 envelope they write.
 #pragma once
 
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -17,82 +15,9 @@
 #include <thread>
 #include <vector>
 
-#include "sim/world.h"
 #include "util/alloc_stats.h"
 
 namespace nwade::bench {
-
-/// Number of repetitions per data point. The paper uses 10 rounds; set
-/// NWADE_BENCH_ROUNDS to trade precision for wall-clock time.
-inline int rounds() {
-  if (const char* env = std::getenv("NWADE_BENCH_ROUNDS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 5;
-}
-
-/// Simulated duration per run (ms); override with NWADE_BENCH_DURATION_MS.
-inline Duration run_duration_ms() {
-  if (const char* env = std::getenv("NWADE_BENCH_DURATION_MS")) {
-    const long n = std::atol(env);
-    if (n > 0) return n;
-  }
-  return 100'000;
-}
-
-inline double mean(const std::vector<double>& xs) {
-  if (xs.empty()) return 0;
-  double total = 0;
-  for (double x : xs) total += x;
-  return total / static_cast<double>(xs.size());
-}
-
-inline double stddev(const std::vector<double>& xs) {
-  if (xs.size() < 2) return 0;
-  const double m = mean(xs);
-  double ss = 0;
-  for (double x : xs) ss += (x - m) * (x - m);
-  return std::sqrt(ss / static_cast<double>(xs.size() - 1));
-}
-
-/// Base scenario shared by the experiments (paper Section VI-A defaults).
-inline sim::ScenarioConfig default_scenario() {
-  sim::ScenarioConfig cfg;
-  cfg.intersection.kind = traffic::IntersectionKind::kCross4;
-  cfg.vehicles_per_minute = 80;  // paper default
-  cfg.duration_ms = run_duration_ms();
-  cfg.attack_time = 40'000;
-  return cfg;
-}
-
-/// Prints a header banner for one experiment.
-inline void banner(const std::string& title, const std::string& paper_ref) {
-  std::printf("\n================================================================\n");
-  std::printf("%s\n", title.c_str());
-  std::printf("reproduces: %s\n", paper_ref.c_str());
-  std::printf("rounds per point: %d, run length: %lld ms\n", rounds(),
-              static_cast<long long>(run_duration_ms()));
-  std::printf("================================================================\n");
-}
-
-/// Simple fixed-width row printer.
-inline void row(const std::vector<std::string>& cells, int width = 16) {
-  for (const auto& c : cells) std::printf("%-*s", width, c.c_str());
-  std::printf("\n");
-}
-
-inline std::string fmt(double v, int precision = 1) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
-  return buf;
-}
-
-inline std::string pct(double fraction) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.0f%%", fraction * 100.0);
-  return buf;
-}
 
 // --- minimal JSON emission (machine-readable curves) ------------------------
 
@@ -157,10 +82,10 @@ inline std::string json_array(const std::vector<std::string>& items,
 // a misleading zero. Phases that report a derived ratio (e.g. before/after
 // speedup) carry a "speedup_x" field instead of the timing triple.
 // hardware_concurrency is
-// recorded so thread-scaling numbers (bench_campaign's pool sweep) can be
-// interpreted on the machine that produced them — a 1-core container
+// recorded so thread-scaling numbers (bench_world_step's step_threads sweep)
+// can be interpreted on the machine that produced them — a 1-core container
 // cannot show wall-clock speedup no matter how parallel the code is.
-// Drivers may append extra top-level context (pool sizes, cell counts) via
+// Drivers may append extra top-level context (scenario shape, verdicts) via
 // bench_envelope's `extra_fields`.
 
 /// Warmup + median-of-N timing for one phase. Medians resist the one-off
@@ -262,7 +187,7 @@ inline std::string json_speedup(const std::string& name, double speedup_x) {
 
 /// Assembles the full nwade-bench-v1 envelope from rendered phase objects.
 /// `extra_fields` are already-rendered top-level fields (json_field output)
-/// spliced in before "phases" — pool sizes, cell counts, and similar
+/// spliced in before "phases" — scenario shape, verdicts, and similar
 /// run-context a comparison tool needs alongside the timings.
 inline std::string bench_envelope(
     const std::string& bench_name, double wall_clock_s,

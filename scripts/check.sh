@@ -1,19 +1,19 @@
 #!/usr/bin/env bash
 # Full verification sweep: the default tree runs every suite (unit, chaos,
-# perf smokes, obs, the soak SIGKILL smoke, campaign CLI, the bench_diff.py
-# unittests); the sanitizer trees rebuild the whole stack instrumented and
-# run their intended payload, the same labels as the CI jobs of the same
-# name. TSan runs the chaos label (fault injection, corrupt-wire fuzzing,
-# threaded campaign fan-out, the grid shard fan-out: grid_parallel_test and
-# the bench_grid smoke both carry it; see docs/FAULT_MODEL.md,
-# docs/CHECKPOINT.md, docs/GRID.md), including RSA grid and campaign runs
-# whose concurrent worlds each verify through their own unlocked signature
-# cache and write their own unlocked metrics registry and tracer (plain
-# single-owner objects), so any of them shared between threads would be
-# reported; ASan adds the obs
-# and soak labels (the TCP sink machinery, serve's snapshot restore probe and
-# resume path); UBSan runs the full suite with UBSAN_OPTIONS=halt_on_error=1,
-# so any report fails the test that reached it.
+# perf smokes including the bench_paper tables, obs, the soak SIGKILL smoke,
+# campaign CLI, the bench_diff.py unittests); the sanitizer trees rebuild
+# the whole stack instrumented and run their intended payload, the same
+# labels as the CI jobs of the same name. TSan runs the chaos label (fault
+# injection, corrupt-wire fuzzing, the threaded campaign fan-out in
+# campaign_test, the grid shard fan-out in grid_parallel_test; see
+# docs/FAULT_MODEL.md, docs/CHECKPOINT.md, docs/GRID.md), including RSA
+# grid and campaign runs whose concurrent worlds each verify through their
+# own unlocked signature cache and write their own unlocked metrics
+# registry and tracer (plain single-owner objects), so any of them shared
+# between threads would be reported; ASan adds the obs and soak labels (the
+# TCP sink machinery, serve's snapshot restore probe and resume path);
+# UBSan runs the full suite with UBSAN_OPTIONS=halt_on_error=1, so any
+# report fails the test that reached it.
 #
 #   scripts/check.sh              # default + ASan + TSan + UBSan
 #   scripts/check.sh default      # just the default tree

@@ -31,7 +31,9 @@ BigUint BigUint::from_bytes(std::span<const std::uint8_t> be) {
 
 BigUint BigUint::from_hex(std::string_view hex) {
   if (hex.size() % 2 == 1) {
-    return from_bytes(nwade::from_hex(std::string("0") + std::string(hex)));
+    std::string padded(1, '0');
+    padded.append(hex);
+    return from_bytes(nwade::from_hex(padded));
   }
   return from_bytes(nwade::from_hex(hex));
 }

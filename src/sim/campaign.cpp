@@ -277,6 +277,7 @@ std::vector<CellAggregate> aggregate(const CampaignConfig& cfg,
     a.attack = results[base].cell.attack;
     a.vpm = results[base].cell.vpm;
     a.rounds = cfg.rounds;
+    int violated = 0;
     int detected = 0;
     double detection_total = 0;
     for (std::size_t i = base; i < base + rounds; ++i) {
@@ -286,6 +287,7 @@ std::vector<CellAggregate> aggregate(const CampaignConfig& cfg,
       a.false_alarm_evacuations += s.metrics.false_alarm_evacuations;
       a.gap_violations += s.min_ground_truth_gap_violations;
       a.degraded_entries += s.metrics.degraded_entries;
+      if (s.metrics.violation_start) ++violated;
       if (const auto d = s.metrics.deviation_detection_time()) {
         ++detected;
         detection_total += static_cast<double>(*d);
@@ -293,7 +295,10 @@ std::vector<CellAggregate> aggregate(const CampaignConfig& cfg,
     }
     a.mean_throughput_vpm /= static_cast<double>(rounds);
     a.mean_crossing_ms /= static_cast<double>(rounds);
-    a.detection_rate = static_cast<double>(detected) / static_cast<double>(rounds);
+    // deviation_detection_time() needs violation_start, so detected <=
+    // violated: the rate is over the rounds whose deviator went off-plan.
+    a.detection_rate =
+        violated ? static_cast<double>(detected) / violated : -1.0;
     a.mean_detection_ms = detected ? detection_total / detected : 0;
     out.push_back(std::move(a));
   }

@@ -8,8 +8,7 @@
 // mutable state; results land in expansion order regardless of which thread
 // ran which cell. Consequently the aggregated output is a pure function of
 // the CampaignConfig: pool size 1 and pool size N produce byte-identical
-// results JSON (campaign_results_json), which the determinism test and
-// bench_campaign assert.
+// results JSON (campaign_results_json), which campaign_test asserts.
 #pragma once
 
 #include <cstdint>
@@ -69,7 +68,9 @@ struct CellAggregate {
   int rounds{0};
   double mean_throughput_vpm{0};
   double mean_crossing_ms{0};
-  /// Fraction of rounds whose run confirmed the deviation (Fig. 4's rate).
+  /// Fraction of the rounds whose deviator went off-plan
+  /// (metrics.violation_start) in which the deviation was confirmed
+  /// (Fig. 4's rate); -1 when no round's deviator went off-plan.
   double detection_rate{0};
   /// Mean simulated detection latency over the detecting rounds (Fig. 5).
   double mean_detection_ms{0};

@@ -84,6 +84,24 @@ TEST(Campaign, AggregateGroupsRoundsPerMatrixPoint) {
   }
 }
 
+// The rate counts only rounds whose deviator went off-plan. A V1 point whose
+// attack time lies past the run has none, so it reports no rate (-1), not a
+// rate of 0 that would read as every round missing the attack.
+TEST(Campaign, DetectionRateWithoutAViolationReadsMinusOne) {
+  CampaignConfig cfg;
+  cfg.attacks = {"V1"};
+  cfg.rounds = 2;
+  cfg.duration_ms = 10'000;
+  cfg.base.attack_time = 20'000;
+  const auto results = run_campaign(cfg);
+  for (const CellResult& r : results) {
+    ASSERT_FALSE(r.summary.metrics.violation_start.has_value());
+  }
+  const auto aggs = aggregate(cfg, results);
+  ASSERT_EQ(aggs.size(), 1u);
+  EXPECT_EQ(aggs[0].detection_rate, -1.0);
+}
+
 // Each RSA cell memoizes signature verdicts in its own World's cache, which
 // only the pool thread running that cell touches: the pool size cannot
 // change a result byte, and the TSan tree sees no two threads share a cache.

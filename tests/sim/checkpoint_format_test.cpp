@@ -9,6 +9,7 @@
 // only together with a schema bump (docs/CHECKPOINT.md §6).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -31,8 +32,8 @@ constexpr std::size_t kMetricsFixedBytes = 10 * 9 + 19 * 8;
 Bytes fold_metrics(const Bytes& payload) {
   EXPECT_GT(payload.size(), kMetricsFixedBytes);
   EXPECT_EQ(payload.at(kMetricsFixedBytes), 1) << "wall samples not saved";
-  Bytes out(payload.begin(), payload.begin() + kMetricsFixedBytes);
-  out.push_back(0);
+  Bytes out(kMetricsFixedBytes + 1, 0);  // the last byte is the cleared flag
+  std::copy_n(payload.begin(), kMetricsFixedBytes, out.begin());
   return out;
 }
 
