@@ -323,10 +323,9 @@ void fig6_blockchain() {
   cfg.kinds = kKinds;
   cfg.densities_vpm = {40, 80, 120};
   cfg.base.signer = sim::SignerKind::kRsa2048;  // paper: 2048-bit IM key
-  const Sweep s = run(cfg);
 
   row({"Intersection (density)", "IM mgmt (ms)", "veh verify (ms)", "blocks"}, 26);
-  for (const sim::CellResult& r : s.results) {
+  for (const sim::CellResult& r : sim::run_campaign(cfg)) {
     const protocol::Metrics& m = r.summary.metrics;
     row({kind_label(r.cell.kind, r.cell.vpm),
          fmt(protocol::Metrics::mean(m.im_package_us) / 1000.0, 2),
@@ -364,10 +363,10 @@ void fig7_network_load() {
   sim::CampaignConfig cfg = campaign();
   cfg.rounds = 1;
   cfg.attacks = {"benign", "V1", "IM"};
-  const Sweep s = run(cfg);
-  const sim::RunSummary& none = s.results[0].summary;
-  const sim::RunSummary& local = s.results[1].summary;
-  const sim::RunSummary& global = s.results[2].summary;
+  const std::vector<sim::CellResult> results = sim::run_campaign(cfg);
+  const sim::RunSummary& none = results[0].summary;
+  const sim::RunSummary& local = results[1].summary;
+  const sim::RunSummary& global = results[2].summary;
   print_packets("no attack", none);
   print_packets("local reports sent (V1)", local);
   print_packets("global reports sent (IM)", global);
