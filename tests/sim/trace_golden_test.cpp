@@ -134,6 +134,18 @@ TEST(TraceGolden, DeviationAttackCross4) {
   EXPECT_EQ(trace_digest(std::move(cfg)), "7aee66a07164ede3f6bf1b783fc7559c61fb310851d6166934911d7b4ea3587c");
 }
 
+// The IM crashes from 20 to 70 s, so vehicles that spawn meanwhile run out
+// of plan retries and cross in degraded mode, sensing the conflict box from
+// inside the physics phase; legacy traffic and a deviator share the road.
+TEST(TraceGolden, ImOutageWithLegacyAndDeviator) {
+  ScenarioConfig cfg = scenario(traffic::IntersectionKind::kCross4, 80, 11);
+  cfg.network.fault.outages.push_back(net::Outage{kImNodeId, 20'000, 70'000});
+  cfg.legacy_fraction = 0.2;
+  cfg.attack = protocol::AttackSetting{"deviation", 1, false, 0, 0};
+  EXPECT_EQ(trace_digest(std::move(cfg)),
+            "2ca8edf9c4bc25855c257c831c9ff24b2e70ee2864f07c32f8c9c1c62d5157e8");
+}
+
 TEST(TraceGolden, TelemetryTracingIsPurelyObservational) {
   // The observability layer's contract: enabling the event tracer (and the
   // always-on registry counters behind it) changes no decision anywhere, so

@@ -18,7 +18,7 @@
 namespace nwade::sim {
 namespace {
 
-// The four golden-trace scenarios (tests/sim/trace_golden_test.cpp): the
+// The five golden-trace scenarios (tests/sim/trace_golden_test.cpp): the
 // thread-count sweep certifies determinism exactly where the digest locks
 // watch for drift.
 ScenarioConfig golden(traffic::IntersectionKind kind, double vpm,
@@ -46,6 +46,13 @@ std::vector<std::pair<std::string, ScenarioConfig>> golden_scenarios() {
     ScenarioConfig cfg = golden(traffic::IntersectionKind::kCross4, 80, 5);
     cfg.attack = protocol::AttackSetting{"deviation", 1, false, 0, 0};
     out.emplace_back("DeviationAttackCross4", cfg);
+  }
+  {
+    ScenarioConfig cfg = golden(traffic::IntersectionKind::kCross4, 80, 11);
+    cfg.network.fault.outages.push_back(net::Outage{kImNodeId, 20'000, 70'000});
+    cfg.legacy_fraction = 0.2;
+    cfg.attack = protocol::AttackSetting{"deviation", 1, false, 0, 0};
+    out.emplace_back("ImOutageWithLegacyAndDeviator", cfg);
   }
   return out;
 }
