@@ -75,27 +75,26 @@ class WorkerPool {
   /// only on (count, chunk_size) — never on the thread count — so any
   /// per-chunk partial results a caller accumulates and merges in chunk
   /// order are bit-identical for any pool size. Like for_each this is a
-  /// barrier; `fn` must only touch per-chunk state. The inline path (pool of
-  /// size <= 1) runs the chunks on the calling thread without materializing
-  /// a std::function, so steady-state callers stay allocation-free.
+  /// barrier; `fn` must only touch per-chunk state. Allocation-free on both
+  /// paths: the inline one (pool of size <= 1) runs the chunks on the
+  /// calling thread without materializing a std::function, and the threaded
+  /// one hands for_each a lambda holding one pointer, which std::function
+  /// stores inline.
   template <typename F>
   void parallel_for(std::size_t count, std::size_t chunk_size, F&& fn) {
     if (count == 0) return;
     if (chunk_size == 0) chunk_size = 1;
     const std::size_t chunks = (count + chunk_size - 1) / chunk_size;
-    if (threads_.empty() || chunks == 1) {
-      for (std::size_t k = 0; k < chunks; ++k) {
-        const std::size_t begin = k * chunk_size;
-        const std::size_t end = begin + chunk_size < count ? begin + chunk_size : count;
-        fn(begin, end);
-      }
-      return;
-    }
-    for_each(chunks, [&](std::size_t k) {
+    const auto run_chunk = [&](std::size_t k) {
       const std::size_t begin = k * chunk_size;
       const std::size_t end = begin + chunk_size < count ? begin + chunk_size : count;
       fn(begin, end);
-    });
+    };
+    if (threads_.empty() || chunks == 1) {
+      for (std::size_t k = 0; k < chunks; ++k) run_chunk(k);
+      return;
+    }
+    for_each(chunks, [chunk = &run_chunk](std::size_t k) { (*chunk)(k); });
   }
 
  private:

@@ -6,9 +6,12 @@
 // around them, which send protocol messages and allocate by design. Once a
 // world is warm (scratch capacities grown, sensor grids and pools sized),
 // both kernels must stay at exactly zero on every subsequent step, spawns
-// and exits included. Only measured in -DNWADE_COUNT_ALLOCS=ON builds; the
+// and exits included, at one step thread (inline chunks) and at four (the
+// threaded fan-out). Only measured in -DNWADE_COUNT_ALLOCS=ON builds; the
 // default build skips.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "sim/world.h"
 #include "util/alloc_stats.h"
@@ -21,9 +24,12 @@ namespace {
     GTEST_SKIP() << "build with -DNWADE_COUNT_ALLOCS=ON to arm this gate";  \
   }
 
-TEST(WorldAllocGate, ChunkedStepKernelsAreAllocationFreeOnceWarm) {
+class WorldAllocGate : public ::testing::TestWithParam<int> {};
+
+TEST_P(WorldAllocGate, ChunkedStepKernelsAreAllocationFreeOnceWarm) {
   REQUIRE_COUNTING();
   ScenarioConfig cfg;
+  cfg.step_threads = GetParam();
   cfg.intersection.kind = traffic::IntersectionKind::kCross4;
   cfg.vehicles_per_minute = 80;
   cfg.duration_ms = 90'000;
@@ -45,9 +51,10 @@ TEST(WorldAllocGate, ChunkedStepKernelsAreAllocationFreeOnceWarm) {
 
 // Same gate under an attack scenario: the deviator runs serially (its step
 // has side effects), so the chunked kernels around it must stay clean.
-TEST(WorldAllocGate, KernelsStayCleanUnderDeviationAttack) {
+TEST_P(WorldAllocGate, KernelsStayCleanUnderDeviationAttack) {
   REQUIRE_COUNTING();
   ScenarioConfig cfg;
+  cfg.step_threads = GetParam();
   cfg.intersection.kind = traffic::IntersectionKind::kCross4;
   cfg.vehicles_per_minute = 80;
   cfg.duration_ms = 80'000;
@@ -63,6 +70,11 @@ TEST(WorldAllocGate, KernelsStayCleanUnderDeviationAttack) {
     ASSERT_EQ(allocs.watch, 0u) << "watch scan kernel allocated at t=" << t;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(StepThreads, WorldAllocGate, ::testing::Values(1, 4),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return std::to_string(info.param) + "_threads";
+                         });
 
 }  // namespace
 }  // namespace nwade::sim
