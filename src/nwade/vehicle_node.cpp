@@ -57,11 +57,7 @@ VehicleNode::VehicleNode(VehicleContext ctx, VehicleId id, int route_id,
       s_(ctx_.columns->s[kin_row_]),
       v_(ctx_.columns->v[kin_row_]),
       lateral_offset_(ctx_.columns->lateral[kin_row_]),
-      store_(ctx.config->chain_depth) {
-  // Sized so a fresh vehicle's first watch scans don't grow the buffer from
-  // inside the chunked scan kernel, which is gated allocation-free.
-  obs_scratch_.reserve(64);
-}
+      store_(ctx.config->chain_depth) {}
 
 void VehicleNode::trace_instant(const char* cat, const char* name,
                                 Tick now) const {
@@ -455,17 +451,60 @@ bool VehicleNode::watch_due(Tick now) const {
   return true;
 }
 
-void VehicleNode::watch_scan(Tick now) {
-  (void)now;
+void VehicleNode::watch_scan(Tick now, WatchScratch& w) const {
+  w.actions.clear();
   ctx_.sensors->sense_around_into(position(), ctx_.config->sensing_radius_m, id_,
-                                  obs_scratch_);
+                                  w.observations);
+  if (attack_.role != VehicleRole::kBenign) return;  // liars don't report truth
+
+  const auto in_cooldown = [now](const std::map<VehicleId, Tick>& m, VehicleId id,
+                                 Duration window) {
+    const auto it = m.find(id);
+    return it != m.end() && now - it->second < window;
+  };
+  for (std::size_t i = 0; i < w.observations.size(); ++i) {
+    const Observation& obs = w.observations[i];
+    if (in_cooldown(reported_suspects_, obs.id, kReportCooldownMs)) continue;
+    if (in_cooldown(dismissed_suspects_, obs.id, kDismissCooldownMs)) continue;
+    if (confirmed_threats_.contains(obs.id)) continue;
+    if (self_evac_announced_.contains(obs.id)) continue;
+
+    const aim::TravelPlan* p = lookup_plan(obs.id);
+    if (p == nullptr) {
+      w.actions.push_back({static_cast<std::uint32_t>(i), true, 0.0});
+      continue;
+    }
+    // Legacy vehicles have no plan to violate; their chain entries are the
+    // IM's virtual predictions, not commitments. Evacuation profiles are not
+    // enforceable either (on-board collision avoidance governs during the
+    // emergency maneuver), and neither is a plan issued moments ago: its
+    // block may still be in flight — or lost and awaiting gap recovery — so
+    // the neighbour cannot be expected to follow it yet.
+    if (p->unmanaged || p->evacuation ||
+        now - p->issued_at < ctx_.config->plan_grace_ms) {
+      continue;
+    }
+    const double dev = deviation_from(*p, obs, now);
+    if (dev <= ctx_.config->deviation_tolerance_m) continue;
+    // A stationary vehicle on the shoulder (well off its lane centreline) has
+    // pulled over — self-evacuated or broken down — and is no threat. A
+    // stationary vehicle still in the staging area at the communication-zone
+    // edge is waiting for (or lost) its plan, not attacking.
+    if (obs.status.speed_mps < 0.5) {
+      const auto& route = ctx_.intersection->route(p->route_id);
+      const auto [lateral, s_proj] = route.path.project(obs.status.position);
+      if (lateral > 2.5) continue;
+      if (s_proj < 30.0) continue;
+    }
+    w.actions.push_back({static_cast<std::uint32_t>(i), false, dev});
+  }
 }
 
-void VehicleNode::watch_emit(Tick now) {
-  const std::vector<Observation>& observations = obs_scratch_;
-  // The pre-split watch sensed after run_attack; both sweeps used identical
-  // arguments against the same frozen scene, so handing run_attack the scan
-  // result is observation-for-observation the same.
+void VehicleNode::watch_emit(Tick now, const WatchScratch& w) {
+  const std::vector<Observation>& observations = w.observations;
+  // The attack and the sham check read the sweep but change nothing the
+  // scan's decisions read, so running them first, as Algorithm 2's serial
+  // form does, keeps every send in its original order.
   if (attack_.role == VehicleRole::kFalseReporter) run_attack(now, observations);
 
   sensed_neighbours_ = static_cast<int>(observations.size());
@@ -496,53 +535,20 @@ void VehicleNode::watch_emit(Tick now) {
     }
   }
 
-  if (attack_.role != VehicleRole::kBenign) return;  // liars don't report truth
-
-  const auto in_cooldown = [now](const std::map<VehicleId, Tick>& m, VehicleId id,
-                                 Duration window) {
-    const auto it = m.find(id);
-    return it != m.end() && now - it->second < window;
-  };
-  for (const Observation& obs : observations) {
-    if (in_cooldown(reported_suspects_, obs.id, kReportCooldownMs)) continue;
-    if (in_cooldown(dismissed_suspects_, obs.id, kDismissCooldownMs)) continue;
-    if (confirmed_threats_.contains(obs.id)) continue;
-    if (self_evac_announced().contains(obs.id)) continue;
-
-    // Legacy vehicles have no plan to violate; their chain entries are the
-    // IM's virtual predictions, not commitments. Evacuation profiles are not
-    // enforceable either (on-board collision avoidance governs during the
-    // emergency maneuver), and neither is a plan issued moments ago: its
-    // block may still be in flight — or lost and awaiting gap recovery — so
-    // the neighbour cannot be expected to follow it yet.
-    if (const aim::TravelPlan* p = lookup_plan(obs.id);
-        p && (p->unmanaged || p->evacuation ||
-              now - p->issued_at < ctx_.config->plan_grace_ms)) {
-      continue;
-    }
-
-    const auto dev = deviation_of(obs, now);
-    if (!dev) {
+  // Each observation names a distinct vehicle, so an earlier action (a
+  // report starting that suspect's cooldown) never changes the decision on
+  // a later one: committing the recorded actions in order is the serial
+  // per-observation loop.
+  for (const WatchScratch::Action& action : w.actions) {
+    const Observation& obs = observations[action.obs];
+    if (action.request_block) {
       request_plan_block(obs.id, now);
       continue;
-    }
-    if (*dev <= ctx_.config->deviation_tolerance_m) continue;
-    // A stationary vehicle on the shoulder (well off its lane centreline) has
-    // pulled over — self-evacuated or broken down — and is no threat. A
-    // stationary vehicle still in the staging area at the communication-zone
-    // edge is waiting for (or lost) its plan, not attacking.
-    if (obs.status.speed_mps < 0.5) {
-      if (const aim::TravelPlan* p = lookup_plan(obs.id)) {
-        const auto& route = ctx_.intersection->route(p->route_id);
-        const auto [lateral, s_proj] = route.path.project(obs.status.position);
-        if (lateral > 2.5) continue;
-        if (s_proj < 30.0) continue;
-      }
     }
     if (state_ != VehicleState::kSelfEvacuation) {
       set_state(VehicleState::kLocalVerification);
     }
-    report_incident(obs, *dev, now);
+    report_incident(obs, action.deviation_m, now);
   }
 }
 
@@ -580,9 +586,13 @@ std::optional<double> VehicleNode::deviation_of(const Observation& obs,
                                                 Tick now) const {
   const aim::TravelPlan* plan = lookup_plan(obs.id);
   if (plan == nullptr) return std::nullopt;
-  const auto& route = ctx_.intersection->route(plan->route_id);
-  const traffic::VehicleStatus expected = plan->expected_status(route, now);
-  return (obs.status.position - expected.position).norm();
+  return deviation_from(*plan, obs, now);
+}
+
+double VehicleNode::deviation_from(const aim::TravelPlan& plan,
+                                   const Observation& obs, Tick now) const {
+  const auto& route = ctx_.intersection->route(plan.route_id);
+  return (obs.status.position - route.path.point_at(plan.s_at(now))).norm();
 }
 
 void VehicleNode::report_incident(const Observation& obs, double deviation,

@@ -16,8 +16,10 @@
 // lying in verification votes (Table I's attack settings).
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "chain/store.h"
 #include "net/network.h"
@@ -97,6 +99,23 @@ struct VehicleContext {
   traffic::VehicleColumns* columns{nullptr};
 };
 
+/// One neighbourhood watch in flight: the sensor sweep and what Algorithm
+/// 2's pure half decided about it (VehicleNode::watch_scan), consumed by the
+/// serial commit (watch_emit) in the same watch phase. The caller owns it
+/// and may reuse it for any vehicle's next watch, so vehicles hold no watch
+/// memory between watches.
+struct WatchScratch {
+  /// The decision on observations[obs]: request the neighbour's plan block
+  /// (no plan known for it), or report it as deviating by `deviation_m`.
+  struct Action {
+    std::uint32_t obs{0};
+    bool request_block{false};
+    double deviation_m{0};
+  };
+  std::vector<Observation> observations;
+  std::vector<Action> actions;
+};
+
 class VehicleNode final : public net::Node {
  public:
   VehicleNode(VehicleContext ctx, VehicleId id, int route_id,
@@ -133,14 +152,23 @@ class VehicleNode final : public net::Node {
   /// vehicles' step_kinematics (touches only this vehicle's rows).
   bool step_kinematics(Tick now, Duration dt_ms);
 
-  /// Neighbourhood watch, run every watch interval in three parts:
-  /// eligibility (pure), the sensor sweep (read-only against the frozen
-  /// scene — parallel-safe), then the emit half (reports/sends/state
-  /// transitions — serial, id order). One watch is
-  /// watch_due() ? (watch_scan(), watch_emit()) : nothing.
+  /// Neighbourhood watch (Algorithm 2), run every watch interval in three
+  /// parts: eligibility, the pure half, then the commit. One watch is
+  /// watch_due() ? (watch_scan(now, w), watch_emit(now, w)) : nothing.
   bool watch_due(Tick now) const;
-  void watch_scan(Tick now);
-  void watch_emit(Tick now);
+  /// The pure half, safe to run concurrently for different vehicles: senses
+  /// the frozen scene into `w.observations`, then a benign watcher runs
+  /// Algorithm 2's filters on every observation (cooldowns, confirmed
+  /// threats, announced self-evacuees, the plan grace window, the deviation
+  /// from the plan's expected position, the stationary-shoulder test) and
+  /// records the survivors in `w.actions`. Reads only this vehicle's own
+  /// protocol state, which no other vehicle's commit can change before the
+  /// next queue run.
+  void watch_scan(Tick now, WatchScratch& w) const;
+  /// The commit, serial in id order: a false reporter's attack, the pending
+  /// sham-alert check, then the recorded actions (block requests, incident
+  /// reports and their state transitions) in observation order.
+  void watch_emit(Tick now, const WatchScratch& w);
 
   // --- introspection ------------------------------------------------------------
   VehicleId id() const { return id_; }
@@ -211,6 +239,11 @@ class VehicleNode final : public net::Node {
   /// Compares an observation to its plan; returns the deviation in metres
   /// (nullopt when the neighbour's plan is unknown).
   std::optional<double> deviation_of(const Observation& obs, Tick now) const;
+  /// Distance between the observed position and where `plan` puts its
+  /// vehicle at `now` (expected_status().position, without the speed and
+  /// heading it also computes).
+  double deviation_from(const aim::TravelPlan& plan, const Observation& obs,
+                        Tick now) const;
   void report_incident(const Observation& obs, double deviation, Tick now);
 
   // Attack behaviours. The caller hands run_attack the current sensor sweep
@@ -302,10 +335,6 @@ class VehicleNode final : public net::Node {
   bool attack_fired_{false};
   bool global_report_sent_{false};
   int sensed_neighbours_{0};
-  /// Reused observation buffer: filled by watch_scan(), consumed by
-  /// watch_emit() within the same watch phase. Transient scratch — never
-  /// checkpointed, stale outside the phase.
-  std::vector<Observation> obs_scratch_;
 };
 
 }  // namespace nwade::protocol

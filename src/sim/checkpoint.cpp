@@ -429,6 +429,7 @@ bool World::apply_checkpoint(const checkpoint::SectionReader& in,
     // chain stores still matter (trace digests fold every vehicle). A
     // restored vehicle never start()s — its spawn is history.
     if (!node->exited()) network_->add_node(node.get());
+    row_nodes_.push_back(node.get());
     vehicles_[rec.id] = std::move(node);
   }
   // Telemetry last: reconstruction above re-touches gauges and counters

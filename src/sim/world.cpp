@@ -18,7 +18,8 @@ namespace {
 /// per-chunk partials merged in chunk order, are identical for every pool
 /// size (see util::WorkerPool::parallel_for).
 constexpr std::size_t kPhysicsChunk = 64;
-constexpr std::size_t kWatchChunk = 16;
+/// Small, so a step's few dozen due watchers spread over every pool thread.
+constexpr std::size_t kWatchChunk = 4;
 constexpr std::size_t kAuditChunk = 64;
 }  // namespace
 
@@ -77,8 +78,10 @@ World::World(ScenarioConfig config, Tick resume_t)
   // vehicle a grid may hand off into this shard mid-run; reserving for all
   // of them up front keeps the node-held references stable for the whole
   // run (VehicleColumns::add_row asserts on this).
-  columns_.reserve(arrivals.size() +
-                   static_cast<std::size_t>(config_.extra_vehicle_capacity));
+  const std::size_t rows =
+      arrivals.size() + static_cast<std::size_t>(config_.extra_vehicle_capacity);
+  columns_.reserve(rows);
+  row_nodes_.reserve(rows);
 
   // Intersection manager.
   protocol::ImAttackProfile im_attack;
@@ -213,6 +216,8 @@ void World::spawn(const traffic::Arrival& arrival, VehicleId id) {
   network_->add_node(node.get());
   node->start();
   spawn_times_[id] = clock_.now();
+  assert(node->kin_row() == row_nodes_.size());
+  row_nodes_.push_back(node.get());
   vehicles_[id] = std::move(node);
   ++position_epoch_;  // the new vehicle must show up in sensor queries
 }
@@ -266,6 +271,7 @@ void World::inject_vehicle(VehicleId id, int route_id,
   // clamped to this intersection's limit.
   vehicles_.at(id)->seed_speed(
       std::min(speed_mps, intersection_.config().limits.speed_limit_mps));
+  ++position_epoch_;  // the scene's observation carries the seeded speed
 }
 
 void World::inject_legacy(VehicleId id, int route_id,
@@ -297,6 +303,14 @@ std::size_t World::arrival_count(const ScenarioConfig& config) {
 
 geom::Vec2 World::legacy_position(const LegacyVehicle& l) const {
   return intersection_.route(l.route_id).path.point_at(l.s);
+}
+
+traffic::VehicleStatus World::legacy_status(const LegacyVehicle& l) const {
+  traffic::VehicleStatus st;
+  st.position = legacy_position(l);
+  st.speed_mps = l.v;
+  st.heading_rad = intersection_.route(l.route_id).path.heading_at(l.s);
+  return st;
 }
 
 void World::step_legacy(Duration dt_ms) {
@@ -384,10 +398,10 @@ void World::step_legacy(Duration dt_ms) {
       }
     }
   }
+  ++position_epoch_;  // legacy vehicles moved
 }
 
 void World::step_world(Tick now) {
-  ++position_epoch_;  // everything may move during this step
   const Duration dt = config_.step_ms;
   const auto watch_every =
       std::max<Tick>(1, config_.nwade.watch_interval_ms / config_.step_ms);
@@ -446,6 +460,7 @@ void World::step_physics(Tick now, Duration dt) {
   // observes ids < k moved and ids > k unmoved — exactly the serial loop's
   // interleaving — and every piece of shared bookkeeping (metrics, network
   // membership, crossing times) commits serially in ascending id order.
+  in_physics_ = true;
   step_nodes_.clear();
   step_impure_.clear();
   for (auto& [id, vehicle] : vehicles_) {
@@ -495,15 +510,18 @@ void World::step_physics(Tick now, Duration dt) {
     }
     i = j;
   }
+  in_physics_ = false;
+  ++position_epoch_;  // managed vehicles moved
 }
 
 void World::step_watch(Tick now, Tick step_index, Tick watch_every) {
-  // Split watch: collect due watchers (pure), fan the read-only sensor
-  // sweeps across the pool, then run every emit serially in id order. An
-  // emit only mutates its own protocol state and sends latency-delayed
-  // messages (delivered by a later queue run even at zero latency), so no
-  // emit can influence another watcher's scan — the serial interleaved
-  // scan/emit loop and this split produce identical runs.
+  // Split watch: collect due watchers, run every watcher's pure half (the
+  // sensor sweep and Algorithm 2's decisions) on the pool, then commit every
+  // watch serially in id order. A commit only mutates its own protocol state
+  // and sends latency-delayed messages (delivered by a later queue run even
+  // at zero latency), so no commit can change what another watcher senses or
+  // decides — the serial per-vehicle watch and this split produce identical
+  // runs.
   watch_due_.clear();
   for (auto& [id, vehicle] : vehicles_) {
     if (vehicle->exited()) continue;
@@ -512,26 +530,56 @@ void World::step_watch(Tick now, Tick step_index, Tick watch_every) {
     watch_due_.push_back(vehicle.get());
   }
   if (watch_due_.empty()) return;
-  // Build the sensor grids once, serially, if stale — so the concurrent
-  // scans below only ever read them. Sense results are exact under any
-  // <= 1-step-stale snapshot (slack padding + live predicates), so forcing
-  // the rebuild here instead of lazily inside the first sense changes
-  // nothing.
-  if (sense_built_epoch_ != position_epoch_) rebuild_sense_grids();
-  // Meter only the chunked scan kernel: the serial emits below are protocol
-  // actions (reports, block requests) that allocate by design.
+  // Build the scene once, serially, so the concurrent scans only read it,
+  // and give every watch room for the whole scene: a sweep returns at most
+  // one observation (and one action) per scene row, so no scan grows a
+  // buffer on the pool.
+  if (sense_built_epoch_ != position_epoch_) rebuild_sense_scene();
+  const std::size_t n = watch_due_.size();
+  if (watch_scratch_.size() < n) watch_scratch_.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    watch_scratch_[k].observations.reserve(sense_scene_.size());
+    watch_scratch_[k].actions.reserve(sense_scene_.size());
+  }
+
+  // Spans inside phase.watch (wall time read only when tracing, like the
+  // phase spans): the scan counts sensed pairs, the commit its actions.
+  const bool tracing = tracer_.enabled();
+  using wall_clock = std::chrono::steady_clock;
+  wall_clock::time_point t0;
+  wall_clock::time_point t1;
+  if (tracing) t0 = wall_clock::now();
+  // Meter only the chunked scan kernel: the serial commits below are
+  // protocol actions (reports, block requests) that allocate by design.
   const std::uint64_t allocs0 =
       util::alloc_counting_enabled() ? util::process_alloc_count() : 0;
-  step_pool_.parallel_for(watch_due_.size(), kWatchChunk,
-                          [&](std::size_t begin, std::size_t end) {
-                            for (std::size_t k = begin; k < end; ++k) {
-                              watch_due_[k]->watch_scan(now);
-                            }
-                          });
+  step_pool_.parallel_for(n, kWatchChunk, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t k = begin; k < end; ++k) {
+      watch_due_[k]->watch_scan(now, watch_scratch_[k]);
+    }
+  });
   if (util::alloc_counting_enabled()) {
     last_step_allocs_.watch += util::process_alloc_count() - allocs0;
   }
-  for (protocol::VehicleNode* v : watch_due_) v->watch_emit(now);
+  if (tracing) t1 = wall_clock::now();
+  for (std::size_t k = 0; k < n; ++k) {
+    watch_due_[k]->watch_emit(now, watch_scratch_[k]);
+  }
+  if (tracing) {
+    const wall_clock::time_point t2 = wall_clock::now();
+    std::int64_t pairs = 0;
+    std::int64_t actions = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      pairs += static_cast<std::int64_t>(watch_scratch_[k].observations.size());
+      actions += static_cast<std::int64_t>(watch_scratch_[k].actions.size());
+    }
+    const auto us = [](wall_clock::time_point a, wall_clock::time_point b) {
+      return std::chrono::duration<double, std::micro>(b - a).count();
+    };
+    tracer_.complete("sim", "watch.scan", now, now, us(t0, t1), "items", pairs);
+    tracer_.complete("sim", "watch.commit", now, now, us(t1, t2), "items",
+                     actions);
+  }
 }
 
 std::size_t World::step_gap_audit(Tick now) {
@@ -710,51 +758,23 @@ RunSummary World::summary() const {
   return s;
 }
 
-namespace {
-/// Padding added to grid-backed sensor queries. A sense can fire mid-step,
-/// after the grids were snapshotted but after some vehicles already moved;
-/// between snapshots every vehicle moves at most one physics step (~2.3 m at
-/// 50 mph and the 100 ms default step, lateral manoeuvres included), so any
-/// vehicle inside the exact radius is within radius + slack of its
-/// snapshotted position. The exact range check always uses live positions.
-constexpr double kSenseSlackM = 20.0;
-}  // namespace
-
-void World::rebuild_sense_grids() const {
-  // Insertion indices follow SoA row order (ascending id in a standalone
-  // world; grid handoffs append foreign ids as they arrive), and
-  // query_candidates returns ascending indices — so sense_around_into emits
-  // observations in row order. Skipping exited vehicles here is safe because
-  // exit is permanent: they could never pass the live filters again.
-  sense_managed_grid_.clear();
-  sense_managed_ids_.clear();
-  sense_managed_grid_.reserve(vehicles_.size());
-  // Stream the SoA columns: exited rows carry active == 0, so this walk sees
-  // exactly the live vehicles — while touching three contiguous arrays
-  // instead of every node. The position arithmetic replicates
-  // VehicleNode::position() expression-for-expression (same branches, same
-  // operation order), so the inserted points are bit-identical.
-  assert(columns_.size() == vehicles_.size());
-  const std::size_t rows = columns_.size();
-  for (std::size_t r = 0; r < rows; ++r) {
-    if (columns_.active[r] == 0) continue;
-    const auto& route = intersection_.route(static_cast<int>(columns_.route[r]));
-    const double s = columns_.s[r];
-    const geom::Vec2 on_path = route.path.point_at(s);
-    const double lateral = columns_.lateral[r];
-    const geom::Vec2 pos =
-        lateral == 0.0 ? on_path
-                       : on_path + route.path.tangent_at(s).perp() * lateral;
-    sense_managed_grid_.insert(pos);
-    sense_managed_ids_.push_back(VehicleId{columns_.id[r]});
+void World::rebuild_sense_scene() const {
+  // Managed rows in SoA row order (ascending id in a standalone world; grid
+  // handoffs append foreign ids as they arrive), then legacy vehicles in id
+  // order: the order every sense reports. Skipping exited vehicles is safe
+  // because exit is permanent.
+  sense_scene_.clear();
+  for (const protocol::VehicleNode* v : row_nodes_) {
+    if (v->exited()) continue;
+    sense_scene_.push_back(
+        SceneRow{protocol::Observation{v->id(), v->traits(), v->ground_truth()},
+                 v, nullptr});
   }
-  sense_legacy_grid_.clear();
-  sense_legacy_ids_.clear();
-  sense_legacy_grid_.reserve(legacy_.size());
   for (const auto& [id, l] : legacy_) {
     if (l.exited) continue;
-    sense_legacy_grid_.insert(legacy_position(l));
-    sense_legacy_ids_.push_back(id);
+    sense_scene_.push_back(
+        SceneRow{protocol::Observation{id, l.traits, legacy_status(l)}, nullptr,
+                 &l});
   }
   sense_built_epoch_ = position_epoch_;
 }
@@ -771,46 +791,23 @@ void World::sense_around_into(geom::Vec2 center, double radius,
                               VehicleId exclude,
                               std::vector<protocol::Observation>& out) const {
   out.clear();
-  if (sense_built_epoch_ != position_epoch_) rebuild_sense_grids();
-  // Candidate supersets from the snapshot; every filter below is exact on
-  // live state, so the result equals a scan over every vehicle: managed in
-  // row order, then legacy in ascending id order.
-  // Thread-local scratch: the watch phase fans scans across the pool, and
-  // each thread's buffer warms up once and is then reused allocation-free.
-  // Reserved generously up front so a growing population doesn't trigger a
-  // capacity bump from inside the allocation-gated scan kernel; candidate
-  // counts beyond the reserve still work, they just grow the buffer.
-  static thread_local std::vector<std::size_t> sense_scratch;
-  if (sense_scratch.capacity() == 0) sense_scratch.reserve(4096);
-  sense_scratch.clear();
-  sense_managed_grid_.query_candidates(center, radius + kSenseSlackM,
-                                       sense_scratch);
-  for (const std::size_t idx : sense_scratch) {
-    const VehicleId id = sense_managed_ids_[idx];
-    const auto& v = vehicles_.find(id)->second;
-    if (id == exclude || v->exited()) continue;
-    // Vehicles still staged at the zone edge (no plan, not yet moving) are
-    // invisible; a plan-less vehicle that moves — degraded mode — must be
-    // seen so watchers and the IM's unmanaged tracking can cover it.
-    if (!v->has_plan() && v->progress_s() <= 0.5) continue;
-    const geom::Vec2 pos = v->position();
-    if (pos.distance_to(center) > radius) continue;
-    out.push_back(protocol::Observation{id, v->traits(), v->ground_truth()});
-  }
-  sense_scratch.clear();
-  sense_legacy_grid_.query_candidates(center, radius + kSenseSlackM,
-                                      sense_scratch);
-  for (const std::size_t idx : sense_scratch) {
-    const VehicleId id = sense_legacy_ids_[idx];
-    const LegacyVehicle& l = legacy_.find(id)->second;
-    if (id == exclude || l.exited) continue;
-    const geom::Vec2 pos = legacy_position(l);
-    if (pos.distance_to(center) > radius) continue;
-    traffic::VehicleStatus st;
-    st.position = pos;
-    st.speed_mps = l.v;
-    st.heading_rad = intersection_.route(l.route_id).path.heading_at(l.s);
-    out.push_back(protocol::Observation{id, l.traits, st});
+  if (in_physics_ || sense_built_epoch_ != position_epoch_) rebuild_sense_scene();
+  // The scene's observations are the live ground truth (nothing moved since
+  // the rebuild), so the range test reads them; liveness and visibility,
+  // which events change without moving anything, are read live.
+  for (const SceneRow& row : sense_scene_) {
+    if (row.obs.id == exclude) continue;
+    if (row.obs.status.position.distance_to(center) > radius) continue;
+    if (row.node != nullptr) {
+      // Vehicles still staged at the zone edge (no plan, not yet moving) are
+      // invisible; a plan-less vehicle that moves — degraded mode — must be
+      // seen so watchers and the IM's unmanaged tracking can cover it.
+      if (!row.node->has_plan() && row.node->progress_s() <= 0.5) continue;
+      if (row.node->exited()) continue;
+    } else if (row.legacy->exited) {
+      continue;
+    }
+    out.push_back(row.obs);
   }
 }
 
@@ -822,12 +819,8 @@ std::optional<protocol::Observation> World::observe(VehicleId id) const {
   }
   if (const auto it = legacy_.find(id); it != legacy_.end()) {
     if (it->second.exited) return std::nullopt;
-    traffic::VehicleStatus st;
-    st.position = legacy_position(it->second);
-    st.speed_mps = it->second.v;
-    st.heading_rad =
-        intersection_.route(it->second.route_id).path.heading_at(it->second.s);
-    return protocol::Observation{id, it->second.traits, st};
+    return protocol::Observation{id, it->second.traits,
+                                 legacy_status(it->second)};
   }
   return std::nullopt;
 }

@@ -159,9 +159,10 @@ class World final : public protocol::SensorProvider {
   // --- SensorProvider -------------------------------------------------------
   std::vector<protocol::Observation> sense_around(geom::Vec2 center, double radius,
                                                   VehicleId exclude) const override;
-  /// Allocation-free variant: fills `out` (cleared first). Thread-safe for
-  /// concurrent callers once the grids are built for the current position
-  /// epoch (step_watch pre-builds them before fanning scans out).
+  /// Allocation-free once `out` has room for every live vehicle: fills it
+  /// (cleared first) from the sensor scene. Thread-safe for concurrent
+  /// callers once the scene is built for the current position epoch
+  /// (step_watch builds it before fanning scans out).
   void sense_around_into(geom::Vec2 center, double radius, VehicleId exclude,
                          std::vector<protocol::Observation>& out) const override;
   std::optional<protocol::Observation> observe(VehicleId id) const override;
@@ -169,9 +170,10 @@ class World final : public protocol::SensorProvider {
   /// Heap allocations the chunked kernels of the most recent step performed
   /// (process-wide, so pool threads are covered) — measured only in
   /// NWADE_COUNT_ALLOCS builds (always zero otherwise). `physics` meters the
-  /// pure-run kinematics fan-outs; `watch` meters the sensor-scan fan-out.
-  /// The serial merges and emits around them (crossing-time appends,
-  /// incident reports, block requests) allocate by design and are excluded.
+  /// pure-run kinematics fan-outs; `watch` meters the watch-scan fan-out
+  /// (sensing plus Algorithm 2's pure decisions). The serial merges and
+  /// commits around them (crossing-time appends, incident reports, block
+  /// requests) allocate by design and are excluded.
   /// The alloc-gate test asserts the warmed kernels never allocate.
   struct StepAllocCounts {
     std::uint64_t physics{0};
@@ -295,8 +297,9 @@ class World final : public protocol::SensorProvider {
   void spawn_legacy(const traffic::Arrival& arrival, VehicleId id);
   void step_legacy(Duration dt_ms);
   geom::Vec2 legacy_position(const LegacyVehicle& l) const;
+  traffic::VehicleStatus legacy_status(const LegacyVehicle& l) const;
   void step_world(Tick now);
-  void rebuild_sense_grids() const;
+  void rebuild_sense_scene() const;
 
   // Chunked phase kernels (byte-identical to serial per-vehicle loops in id
   // order at any step_threads; each kernel states its equivalence argument).
@@ -323,6 +326,8 @@ class World final : public protocol::SensorProvider {
   /// rows stay with active == 0). Reserved up front for every arrival so the
   /// node-held references never dangle.
   traffic::VehicleColumns columns_;
+  /// row_nodes_[r] is the node owning SoA row r (spawn order).
+  std::vector<const protocol::VehicleNode*> row_nodes_;
   std::unique_ptr<protocol::ImNode> im_;
   std::map<VehicleId, std::unique_ptr<protocol::VehicleNode>> vehicles_;
   std::map<VehicleId, LegacyVehicle> legacy_;
@@ -356,6 +361,9 @@ class World final : public protocol::SensorProvider {
   std::vector<std::uint8_t> step_impure_;
   std::vector<std::uint8_t> step_exited_;
   std::vector<protocol::VehicleNode*> watch_due_;
+  /// watch_scratch_[k] carries watch_due_[k]'s watch from its pooled scan to
+  /// its commit. Sized serially to the scene before each fan-out.
+  std::vector<protocol::WatchScratch> watch_scratch_;
   struct AuditProbe {
     geom::Vec2 pos;
     double s{0};
@@ -367,18 +375,26 @@ class World final : public protocol::SensorProvider {
   std::vector<int> audit_partials_;
   StepAllocCounts last_step_allocs_;
 
-  /// Bumped whenever positions may have changed (step_world entry, spawns);
-  /// the lazily rebuilt sensor grids below are keyed on it.
+  /// Bumped whenever positions may have changed: at each spawn and after
+  /// the legacy and physics phases of every step. The sensor scene below is
+  /// keyed on it.
   std::uint64_t position_epoch_{0};
+  /// True while step_physics moves vehicles one by one; a sense issued then
+  /// (a degraded vehicle checking the conflict box) rebuilds the scene.
+  bool in_physics_{false};
 
-  // Sensor-query index: snapshots of managed/legacy positions, rebuilt at
-  // most once per position epoch. A snapshot can lag a vehicle by one
-  // physics step (senses fire mid-step), so queries pad the radius by
-  // kSenseSlackM and re-apply the exact live-position predicate.
-  mutable geom::SpatialHash sense_managed_grid_{64.0};
-  mutable std::vector<VehicleId> sense_managed_ids_;
-  mutable geom::SpatialHash sense_legacy_grid_{64.0};
-  mutable std::vector<VehicleId> sense_legacy_ids_;
+  /// The sensor scene: every live vehicle as a sensor sees it, managed rows
+  /// in SoA row order, then legacy vehicles in id order. Rebuilt on the
+  /// first sense of each position epoch, so the precomputed observations
+  /// equal the live ground truth whenever a sense reads them. What changes
+  /// without moving anything (plan adoption, which makes a staged vehicle
+  /// visible) is read live through the row's pointer.
+  struct SceneRow {
+    protocol::Observation obs;
+    const protocol::VehicleNode* node{nullptr};  ///< null for legacy rows
+    const LegacyVehicle* legacy{nullptr};        ///< null for managed rows
+  };
+  mutable std::vector<SceneRow> sense_scene_;
   mutable std::uint64_t sense_built_epoch_{~0ULL};
 
   // Car-following lookup index: managed positions snapshotted at the top of

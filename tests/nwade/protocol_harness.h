@@ -89,8 +89,8 @@ class Harness : public SensorProvider {
       }
       for (auto& [id, v] : vehicles_) {
         if (v->exited() || now_ % 200 != 0 || !v->watch_due(now_)) continue;
-        v->watch_scan(now_);
-        v->watch_emit(now_);
+        v->watch_scan(now_, watch_);
+        v->watch_emit(now_, watch_);
       }
     }
   }
@@ -133,6 +133,7 @@ class Harness : public SensorProvider {
   std::unique_ptr<ImNode> im_;
   traffic::VehicleColumns columns_;  ///< outlives the nodes aliasing its rows
   std::map<VehicleId, std::unique_ptr<VehicleNode>> vehicles_;
+  WatchScratch watch_;  ///< reused by every watch, as World reuses its own
   Tick now_{0};
 };
 
