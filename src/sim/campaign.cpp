@@ -299,7 +299,7 @@ std::vector<CellAggregate> aggregate(const CampaignConfig& cfg,
     // violated: the rate is over the rounds whose deviator went off-plan.
     a.detection_rate =
         violated ? static_cast<double>(detected) / violated : -1.0;
-    a.mean_detection_ms = detected ? detection_total / detected : 0;
+    a.mean_detection_ms = detected ? detection_total / detected : -1.0;
     out.push_back(std::move(a));
   }
   return out;

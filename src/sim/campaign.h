@@ -72,7 +72,8 @@ struct CellAggregate {
   /// (metrics.violation_start) in which the deviation was confirmed
   /// (Fig. 4's rate); -1 when no round's deviator went off-plan.
   double detection_rate{0};
-  /// Mean simulated detection latency over the detecting rounds (Fig. 5).
+  /// Mean simulated detection latency over the detecting rounds (Fig. 5);
+  /// -1 when no round detected, as a cell row's `detection_ms` reads.
   double mean_detection_ms{0};
   int false_alarm_evacuations{0};
   int gap_violations{0};

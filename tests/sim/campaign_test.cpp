@@ -100,6 +100,7 @@ TEST(Campaign, DetectionRateWithoutAViolationReadsMinusOne) {
   const auto aggs = aggregate(cfg, results);
   ASSERT_EQ(aggs.size(), 1u);
   EXPECT_EQ(aggs[0].detection_rate, -1.0);
+  EXPECT_EQ(aggs[0].mean_detection_ms, -1.0);
 }
 
 // Each RSA cell memoizes signature verdicts in its own World's cache, which
