@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Full verification sweep: the default tree runs every suite (unit, chaos,
 # perf smokes including the bench_paper tables, obs, the soak SIGKILL smoke,
-# campaign CLI, the bench_diff.py unittests); the sanitizer trees rebuild
-# the whole stack instrumented and run their intended payload, the same
-# labels as the CI jobs of the same name. TSan runs the chaos label (fault
+# campaign CLI, the bench_diff.py unittests), where the zero-allocation gates
+# skip; the alloc tree (-DNWADE_COUNT_ALLOCS=ON) arms them and runs the alloc
+# label, as the CI job of that name does. The sanitizer trees rebuild the
+# whole stack instrumented and run their intended payload, the same labels
+# as the CI jobs of the same name. TSan runs the chaos label (fault
 # injection, corrupt-wire fuzzing, the threaded campaign fan-out in
 # campaign_test, the grid shard fan-out in grid_parallel_test; see
 # docs/FAULT_MODEL.md, docs/CHECKPOINT.md, docs/GRID.md), including RSA
@@ -15,8 +17,9 @@
 # UBSan runs the full suite with UBSAN_OPTIONS=halt_on_error=1, so any
 # report fails the test that reached it.
 #
-#   scripts/check.sh              # default + ASan + TSan + UBSan
+#   scripts/check.sh              # default + alloc + ASan + TSan + UBSan
 #   scripts/check.sh default      # just the default tree
+#   scripts/check.sh alloc        # just the allocation gates
 #   scripts/check.sh asan tsan    # just those sanitizer trees
 #
 # Opt-in perf-regression stage (never part of the default sweep):
@@ -27,7 +30,8 @@
 # the baseline directory via scripts/bench_diff.py. The tolerated regression
 # percentage is NWADE_BENCH_DIFF_THRESHOLD (default 10).
 #
-# Build dirs: build/ (default), build-asan/, build-tsan/, build-ubsan/.
+# Build dirs: build/ (default), build-alloc/, build-asan/, build-tsan/,
+# build-ubsan/.
 # Existing dirs are reused (incremental); delete one to force a clean
 # configure.
 set -euo pipefail
@@ -37,7 +41,7 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 
 stages=("$@")
 if [[ ${#stages[@]} -eq 0 ]]; then
-  stages=(default asan tsan ubsan)
+  stages=(default alloc asan tsan ubsan)
 fi
 
 run_tree() { # dir cmake-extra-args... -- ctest-args...
@@ -55,6 +59,10 @@ for stage in "${stages[@]}"; do
     default)
       echo "=== default tree: full suite ==="
       run_tree build --
+      ;;
+    alloc)
+      echo "=== alloc tree: zero-allocation gates ==="
+      run_tree build-alloc -DNWADE_COUNT_ALLOCS=ON -- -L alloc -j "$JOBS"
       ;;
     asan)
       echo "=== ASan tree: chaos + obs + soak suites ==="
@@ -84,7 +92,7 @@ for stage in "${stages[@]}"; do
       done
       ;;
     *)
-      echo "unknown stage '$stage' (want: default asan tsan ubsan bench-diff)" >&2
+      echo "unknown stage '$stage' (want: default alloc asan tsan ubsan bench-diff)" >&2
       exit 2
       ;;
   esac
