@@ -1,18 +1,17 @@
 // Uniform-grid spatial index over 2-D points.
 //
 // The simulator's ground-truth min-gap audit, legacy car-following lookup,
-// sensor queries, and the network's broadcast range scan were all all-pairs
-// sweeps: O(V^2) per step once traffic gets dense. This grid buckets points
-// into square cells so a radius query touches only the cells the disc
-// overlaps.
+// and the network's broadcast range scan were all all-pairs sweeps: O(V^2)
+// per step once traffic gets dense. This grid buckets points into square
+// cells so a radius query touches only the cells the disc overlaps.
 //
 // Equivalence contract (what keeps indexed sweeps equal to all-pairs scans):
 // the index never answers a geometric predicate itself. `query_candidates`
 // returns a *superset* of the exact in-radius set (every point whose cell
 // intersects the disc); callers re-apply their exact floating-point
 // predicate, so an indexed sweep makes bit-identical decisions to a
-// brute-force scan over every point (the unit tests and
-// tests/sim/world_equivalence_test.cpp hold both to all-pairs oracles).
+// brute-force scan over every point (the unit tests hold both to all-pairs
+// oracles).
 // Candidates come back in ascending insertion-index order, which lets
 // callers that iterate id-sorted containers preserve their exact iteration
 // order.

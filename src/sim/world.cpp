@@ -412,17 +412,12 @@ void World::step_world(Tick now) {
   // explicitly non-deterministic wall_us argument. Wall clocks are read only
   // when tracing, so disabled runs pay one flag check per step.
   const bool tracing = tracer_.enabled();
-  using wall_clock = std::chrono::steady_clock;
-  wall_clock::time_point t0;
+  std::chrono::steady_clock::time_point t0;
   const auto phase_begin = [&] {
-    if (tracing) t0 = wall_clock::now();
+    if (tracing) t0 = std::chrono::steady_clock::now();
   };
   const auto phase_end = [&](const char* name, std::int64_t items) {
-    if (!tracing) return;
-    const double wall_us =
-        std::chrono::duration<double, std::micro>(wall_clock::now() - t0)
-            .count();
-    tracer_.complete("sim", name, now, now, wall_us, "items", items);
+    if (tracing) trace_span(name, now, t0, items);
   };
 
   const bool count_allocs = util::alloc_counting_enabled();
@@ -542,13 +537,11 @@ void World::step_watch(Tick now, Tick step_index, Tick watch_every) {
     watch_scratch_[k].actions.reserve(sense_scene_.size());
   }
 
-  // Spans inside phase.watch (wall time read only when tracing, like the
-  // phase spans): the scan counts sensed pairs, the commit its actions.
+  // Spans inside phase.watch, wall time read only when tracing like the
+  // phase spans: the scan counts sensed pairs, the commit its actions.
   const bool tracing = tracer_.enabled();
-  using wall_clock = std::chrono::steady_clock;
-  wall_clock::time_point t0;
-  wall_clock::time_point t1;
-  if (tracing) t0 = wall_clock::now();
+  std::chrono::steady_clock::time_point t0;
+  if (tracing) t0 = std::chrono::steady_clock::now();
   // Meter only the chunked scan kernel: the serial commits below are
   // protocol actions (reports, block requests) that allocate by design.
   const std::uint64_t allocs0 =
@@ -561,25 +554,33 @@ void World::step_watch(Tick now, Tick step_index, Tick watch_every) {
   if (util::alloc_counting_enabled()) {
     last_step_allocs_.watch += util::process_alloc_count() - allocs0;
   }
-  if (tracing) t1 = wall_clock::now();
+  if (tracing) {
+    std::int64_t pairs = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      pairs += static_cast<std::int64_t>(watch_scratch_[k].observations.size());
+    }
+    trace_span("watch.scan", now, t0, pairs);
+    t0 = std::chrono::steady_clock::now();
+  }
   for (std::size_t k = 0; k < n; ++k) {
     watch_due_[k]->watch_emit(now, watch_scratch_[k]);
   }
   if (tracing) {
-    const wall_clock::time_point t2 = wall_clock::now();
-    std::int64_t pairs = 0;
     std::int64_t actions = 0;
     for (std::size_t k = 0; k < n; ++k) {
-      pairs += static_cast<std::int64_t>(watch_scratch_[k].observations.size());
       actions += static_cast<std::int64_t>(watch_scratch_[k].actions.size());
     }
-    const auto us = [](wall_clock::time_point a, wall_clock::time_point b) {
-      return std::chrono::duration<double, std::micro>(b - a).count();
-    };
-    tracer_.complete("sim", "watch.scan", now, now, us(t0, t1), "items", pairs);
-    tracer_.complete("sim", "watch.commit", now, now, us(t1, t2), "items",
-                     actions);
+    trace_span("watch.commit", now, t0, actions);
   }
+}
+
+void World::trace_span(const char* name, Tick now,
+                       std::chrono::steady_clock::time_point t0,
+                       std::int64_t items) {
+  const double wall_us = std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  tracer_.complete("sim", name, now, now, wall_us, "items", items);
 }
 
 std::size_t World::step_gap_audit(Tick now) {

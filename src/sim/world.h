@@ -5,6 +5,7 @@
 // rendering).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -299,6 +300,10 @@ class World final : public protocol::SensorProvider {
   geom::Vec2 legacy_position(const LegacyVehicle& l) const;
   traffic::VehicleStatus legacy_status(const LegacyVehicle& l) const;
   void step_world(Tick now);
+  /// Records a `sim` span from `t0` to now, `items` as its argument. Callers
+  /// check tracer_.enabled() first, so untraced runs read no clock.
+  void trace_span(const char* name, Tick now,
+                  std::chrono::steady_clock::time_point t0, std::int64_t items);
   void rebuild_sense_scene() const;
 
   // Chunked phase kernels (byte-identical to serial per-vehicle loops in id
