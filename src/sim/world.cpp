@@ -763,10 +763,12 @@ void World::rebuild_sense_scene() const {
   // Managed rows in SoA row order (ascending id in a standalone world; grid
   // handoffs append foreign ids as they arrive), then legacy vehicles in id
   // order: the order every sense reports. Skipping exited vehicles is safe
-  // because exit is permanent.
+  // because exit is permanent; the SoA active column mirrors it, so the walk
+  // never touches an exited node.
   sense_scene_.clear();
-  for (const protocol::VehicleNode* v : row_nodes_) {
-    if (v->exited()) continue;
+  for (std::size_t r = 0; r < row_nodes_.size(); ++r) {
+    if (columns_.active[r] == 0) continue;
+    const protocol::VehicleNode* v = row_nodes_[r];
     sense_scene_.push_back(
         SceneRow{protocol::Observation{v->id(), v->traits(), v->ground_truth()},
                  v, nullptr});
