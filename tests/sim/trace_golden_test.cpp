@@ -146,6 +146,19 @@ TEST(TraceGolden, ImOutageWithLegacyAndDeviator) {
             "2ca8edf9c4bc25855c257c831c9ff24b2e70ee2864f07c32f8c9c1c62d5157e8");
 }
 
+// bench_world_step's scenario cut to 60 s: the junction saturates, so about
+// 900 managed vehicles are live at the end and legacy car following (behind
+// managed and behind legacy traffic), the gap audit (tens of thousands of
+// close pairs) and the broadcast range scan all run at volume.
+TEST(TraceGolden, SaturatedMixedNwadeOff) {
+  ScenarioConfig cfg = scenario(traffic::IntersectionKind::kCross4, 1500, 9);
+  cfg.duration_ms = 60'000;
+  cfg.legacy_fraction = 0.4;
+  cfg.nwade.security_enabled = false;
+  EXPECT_EQ(trace_digest(std::move(cfg)),
+            "c16352c5931a43233340018269a57715bec149d48c8a58141f30525c892bf8a7");
+}
+
 TEST(TraceGolden, TelemetryTracingIsPurelyObservational) {
   // The observability layer's contract: enabling the event tracer (and the
   // always-on registry counters behind it) changes no decision anywhere, so
