@@ -49,8 +49,4 @@ TravelPlan TrafficLightScheduler::schedule(VehicleId id, int route_id,
                            config_.min_cruise_mps);
 }
 
-void TrafficLightScheduler::release_before(Tick /*t*/) {
-  // The baseline only tracks one tick per leg; nothing to release.
-}
-
 }  // namespace nwade::aim

@@ -21,17 +21,15 @@ struct TrafficLightConfig {
   double min_cruise_mps{4.0};
 };
 
-/// Signalized baseline implementing the common Scheduler interface.
-class TrafficLightScheduler final : public Scheduler {
+/// Signalized baseline: the same schedule() call as ReservationScheduler.
+class TrafficLightScheduler {
  public:
   TrafficLightScheduler(const traffic::Intersection& intersection,
                         TrafficLightConfig config = {});
 
   TravelPlan schedule(VehicleId id, int route_id,
                       const traffic::VehicleTraits& traits, Tick now,
-                      double initial_speed_mps) override;
-
-  void release_before(Tick t) override;
+                      double initial_speed_mps);
 
   /// Full cycle duration: legs * (green + clearance).
   Duration cycle_ms() const { return cycle_ms_; }

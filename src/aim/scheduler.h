@@ -49,39 +49,28 @@ struct ThreatInfo {
   VehicleId suspect;
 };
 
-/// Interface shared by the reservation scheduler and the traffic-light
-/// baseline so benchmarks can swap them.
-class Scheduler {
- public:
-  virtual ~Scheduler() = default;
-  /// Produces a plan for a vehicle whose spawn (communication-zone entry)
-  /// happened at `now` with the given initial speed.
-  virtual TravelPlan schedule(VehicleId id, int route_id,
-                              const traffic::VehicleTraits& traits, Tick now,
-                              double initial_speed_mps) = 0;
-  /// Frees reservation state that ends before `t` (bounded memory).
-  virtual void release_before(Tick t) = 0;
-};
-
 /// Builds the standard plan profile: optional wait at s_start, cruise timed
 /// to reach the core at `core_entry`, cross at a uniform core speed, then the
-/// speed limit on the exit leg. Shared by all scheduler implementations.
+/// speed limit on the exit leg. Shared by both schedulers.
 TravelPlan make_profile_plan(const traffic::Intersection& intersection, VehicleId id,
                              int route_id, const traffic::VehicleTraits& traits,
                              Tick now, double s_start, Tick core_entry,
                              double min_cruise_mps);
 
 /// The reservation scheduler (the "AIM optimizer" substrate).
-class ReservationScheduler final : public Scheduler {
+class ReservationScheduler {
  public:
   ReservationScheduler(const traffic::Intersection& intersection,
                        SchedulerConfig config = {});
 
+  /// Produces a plan for a vehicle whose spawn (communication-zone entry)
+  /// happened at `now` with the given initial speed.
   TravelPlan schedule(VehicleId id, int route_id,
                       const traffic::VehicleTraits& traits, Tick now,
-                      double initial_speed_mps) override;
+                      double initial_speed_mps);
 
-  void release_before(Tick t) override;
+  /// Frees reservation state that ends before `t` (bounded memory).
+  void release_before(Tick t);
 
   /// Replans every active vehicle around a confirmed threat: vehicles whose
   /// remaining path stays clear continue at reduced speed; vehicles heading
