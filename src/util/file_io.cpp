@@ -44,14 +44,15 @@ bool preflight_output_path(const std::string& path) {
   std::FILE* existing = std::fopen(path.c_str(), "rb");
   const bool existed = existing != nullptr;
   if (existing) std::fclose(existing);
-  std::FILE* probe = std::fopen(path.c_str(), "ab");
+  const std::string probe_path = existed ? path : path + ".tmp";
+  std::FILE* probe = std::fopen(probe_path.c_str(), "ab");
   if (!probe) {
     std::fprintf(stderr, "cannot write output path %s: %s\n", path.c_str(),
                  std::strerror(errno));
     return false;
   }
   std::fclose(probe);
-  if (!existed) std::remove(path.c_str());
+  if (!existed) std::remove(probe_path.c_str());
   return true;
 }
 

@@ -24,9 +24,12 @@ bool write_file_atomic(const std::string& path, std::string_view text);
 
 /// Probes an output path for writability BEFORE a long run: a typo'd
 /// directory or read-only target should fail in milliseconds, not after
-/// hours of simulation. Append mode probes without clobbering whatever the
-/// file holds; a path the probe had to create is removed again, so a failed
-/// later stage leaves no empty stub behind. An empty path passes. On failure
+/// hours of simulation. An existing file is probed in append mode, which
+/// leaves its bytes alone. A missing one is probed through `<path>.tmp`,
+/// the file write_file_atomic writes, and that probe is removed again: the
+/// probe never creates `path` itself, so a file written with
+/// write_file_atomic only ever appears by rename, complete (a reader that
+/// polls for it never sees it empty). An empty path passes. On failure
 /// prints "cannot write output path PATH: REASON" to stderr.
 bool preflight_output_path(const std::string& path);
 
