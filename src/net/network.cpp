@@ -5,16 +5,6 @@
 
 namespace nwade::net {
 
-namespace {
-/// Padding added to grid-backed broadcast queries. The snapshot can be up to
-/// one physics step old (broadcasts fired mid-step see vehicles that moved
-/// after the snapshot), so the pad must exceed the farthest a vehicle can
-/// travel in one step — ~2.3 m at 50 mph and the 100 ms default step. 60 m
-/// covers steps beyond a second with a wide margin and costs only a slightly
-/// larger candidate set; the exact range check always uses live positions.
-constexpr double kGridSlackM = 60.0;
-}  // namespace
-
 Network::Network(EventQueue& queue, SimClock& clock, NetworkConfig config)
     : queue_(queue), clock_(clock), config_(std::move(config)), rng_(config_.seed) {
   registry_ = config_.registry;
@@ -53,7 +43,6 @@ void Network::add_node(Node* node) {
   nodes_[id] = node;
   const auto it = std::lower_bound(sorted_ids_.begin(), sorted_ids_.end(), id);
   if (it == sorted_ids_.end() || *it != id) sorted_ids_.insert(it, id);
-  ++membership_epoch_;
   nodes_gauge_.set(static_cast<std::int64_t>(nodes_.size()));
 }
 
@@ -61,7 +50,6 @@ void Network::remove_node(NodeId id) {
   nodes_.erase(id);
   const auto it = std::lower_bound(sorted_ids_.begin(), sorted_ids_.end(), id);
   if (it != sorted_ids_.end() && *it == id) sorted_ids_.erase(it);
-  ++membership_epoch_;
   nodes_gauge_.set(static_cast<std::int64_t>(nodes_.size()));
 }
 
@@ -209,63 +197,6 @@ void Network::unicast(NodeId from, NodeId to, MessagePtr msg) {
                          std::move(msg), origin});
 }
 
-void Network::rebuild_grid() {
-  grid_.clear();
-  grid_ids_.clear();
-  grid_.reserve(nodes_.size());
-  grid_ids_.reserve(nodes_.size());
-  for (const NodeId id : sorted_ids_) {
-    grid_.insert(nodes_.find(id)->second->position());
-    grid_ids_.push_back(id);
-  }
-  grid_built_at_ = clock_.now();
-  grid_epoch_ = membership_epoch_;
-}
-
-void Network::collect_receivers(NodeId from, geom::Vec2 origin,
-                                std::vector<NodeId>& out) {
-  // Receivers enumerate in ascending id order — a pure function of current
-  // membership, so a checkpoint-restored network (whose hash table was
-  // rebuilt with a different insert/erase history) reproduces the exact
-  // enumeration, and with it which packet copies the loss model eats and
-  // every envelope's queue seq. The grid is used as a candidate pre-filter
-  // inside that canonical order rather than as the iteration itself, so the
-  // receiver set and its order equal a range check over every node.
-  if (grid_built_at_ != clock_.now() || grid_epoch_ != membership_epoch_) {
-    rebuild_grid();
-  }
-  grid_scratch_.clear();
-  grid_.query_candidates(origin, config_.comm_radius_m + kGridSlackM,
-                         grid_scratch_);
-  // Dense regime: the padded disc covers every node, so the filter can
-  // reject nothing — skip building the candidate set and run the plain scan
-  // (identical result either way; this is purely a cost call).
-  const bool indexed = grid_scratch_.size() != grid_ids_.size();
-  if (indexed) {
-    candidates_.clear();
-    for (const std::size_t idx : grid_scratch_) {
-      candidates_.insert(grid_ids_[idx]);
-    }
-  }
-  out.clear();
-  for (const NodeId id : sorted_ids_) {
-    if (id == from) continue;
-    // Superset contract: a node the padded grid query misses moved at most
-    // kGridSlackM since the snapshot, so its live position is certainly out
-    // of range — the exact check below could only have rejected it.
-    if (indexed && !candidates_.contains(id)) {
-      out_of_range_.inc();  // same accounting as unicast
-      continue;
-    }
-    if (nodes_.find(id)->second->position().distance_to(origin) >
-        config_.comm_radius_m) {
-      out_of_range_.inc();  // same accounting as unicast
-      continue;
-    }
-    out.push_back(id);
-  }
-}
-
 const NetworkStats& Network::stats() const {
   NetworkStats& s = stats_view_;
   s.packets_sent = static_cast<std::uint64_t>(sent_.value());
@@ -355,8 +286,15 @@ void Network::broadcast(NodeId from, MessagePtr msg) {
   const auto sender = nodes_.find(from);
   if (sender == nodes_.end()) return;
   const geom::Vec2 origin = sender->second->position();
-  collect_receivers(from, origin, receivers_);
-  for (const NodeId id : receivers_) {
+  // Every other node, in ascending id order (see sorted_ids_), range-checked
+  // on its live position like a unicast.
+  for (const NodeId id : sorted_ids_) {
+    if (id == from) continue;
+    if (nodes_.find(id)->second->position().distance_to(origin) >
+        config_.comm_radius_m) {
+      out_of_range_.inc();
+      continue;
+    }
     // Every receiver's envelope shares the one message object (refcount
     // bump, no copy of the serialized payload).
     deliver_later(Envelope{from, id, /*broadcast=*/true, clock_.now(), msg, origin});

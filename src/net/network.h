@@ -13,10 +13,8 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "geom/spatial_hash.h"
 #include "geom/vec2.h"
 #include "net/clock.h"
 #include "net/fault.h"
@@ -184,12 +182,6 @@ class Network {
   /// receiver's envelope aliases the same serialized message object.
   void schedule_delivery(Envelope env, Tick arrival,
                         util::telemetry::Histogram latency_ms);
-  /// Fills `out` with the ids of every registered node (sender excluded)
-  /// whose *current* position is within the communication radius of
-  /// `origin`, ascending. Grid-accelerated unless every node is a candidate.
-  void collect_receivers(NodeId from, geom::Vec2 origin,
-                         std::vector<NodeId>& out);
-  void rebuild_grid();
 
   EventQueue& queue_;
   SimClock& clock_;
@@ -201,7 +193,8 @@ class Network {
   /// iteration order is a function of the table's insert/erase/rehash
   /// history, which a checkpoint-restored network cannot replay — and under
   /// a lossy channel the enumeration order decides which receiver copies the
-  /// per-packet loss draws eat, so it must be a pure function of membership.
+  /// per-packet loss draws eat and every envelope's queue seq, so it must be
+  /// a pure function of membership.
   std::vector<NodeId> sorted_ids_;
 
   /// Private registry used when the config injects none (standalone nets in
@@ -225,19 +218,6 @@ class Network {
   std::uint64_t next_delivery_id_{0};
 
   bool ge_bad_{false};  ///< Gilbert–Elliott channel state
-
-  // Broadcast-scan index: node positions snapshotted at most once per
-  // (tick, membership change). Queries pad the radius by kGridSlackM, so a
-  // node that moved since the snapshot (mid-step broadcasts) still shows up
-  // as a candidate; the exact range check always runs on live positions.
-  geom::SpatialHash grid_{64.0};
-  std::vector<NodeId> receivers_;         ///< reused broadcast receiver list
-  std::vector<NodeId> grid_ids_;          ///< grid index -> node id
-  std::vector<std::size_t> grid_scratch_; ///< reused candidate buffer
-  std::unordered_set<NodeId> candidates_; ///< reused candidate id set
-  Tick grid_built_at_{-1};
-  std::uint64_t membership_epoch_{0};     ///< bumped by add/remove_node
-  std::uint64_t grid_epoch_{~0ULL};       ///< membership epoch at build time
 };
 
 }  // namespace nwade::net

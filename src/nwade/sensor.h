@@ -24,19 +24,20 @@ class SensorProvider {
  public:
   virtual ~SensorProvider() = default;
 
-  /// Ground-truth snapshot of all vehicles within `radius` of `center`,
-  /// excluding `exclude` (the observer itself).
-  virtual std::vector<Observation> sense_around(geom::Vec2 center, double radius,
-                                                VehicleId exclude) const = 0;
-
-  /// Buffer-reusing variant: clears `out` and fills it with exactly the
-  /// observations sense_around would return, in the same order. Hot-path
-  /// callers (the per-step watch scan, the IM's unmanaged tracker) hold a
-  /// reusable buffer so steady-state sensing allocates nothing. The default
-  /// forwards to sense_around so mock providers keep working unchanged.
+  /// Clears `out` and fills it with the ground-truth snapshot of every
+  /// vehicle within `radius` of `center`, excluding `exclude` (the observer
+  /// itself). Hot-path callers (the per-step watch scan, the IM's unmanaged
+  /// tracker) hold a reusable buffer so steady-state sensing allocates
+  /// nothing.
   virtual void sense_around_into(geom::Vec2 center, double radius, VehicleId exclude,
-                                 std::vector<Observation>& out) const {
-    out = sense_around(center, radius, exclude);
+                                 std::vector<Observation>& out) const = 0;
+
+  /// The same snapshot in a fresh vector.
+  std::vector<Observation> sense_around(geom::Vec2 center, double radius,
+                                        VehicleId exclude) const {
+    std::vector<Observation> out;
+    sense_around_into(center, radius, exclude, out);
+    return out;
   }
 
   /// Observation of one specific vehicle if it is still on the road.

@@ -126,8 +126,9 @@ void VehicleNode::retry_plan_request(Tick now) {
 
 void VehicleNode::set_state(VehicleState next) {
   state_ = next;
-  // Mirror liveness into the SoA active flag so column-streaming kernels
-  // (the sense-grid rebuild) can skip exited rows without touching the node.
+  // Mirror liveness into the SoA active flag so column-streaming loops (the
+  // sensor-scene rebuild, car following's route buckets) can skip exited
+  // rows without touching the node.
   ctx_.columns->active[kin_row_] =
       next == VehicleState::kExited ? std::uint8_t{0} : std::uint8_t{1};
 }
@@ -164,9 +165,24 @@ void VehicleNode::step(Tick now, Duration dt_ms) {
     s_ += v_ * dt;
   } else if (state_ == VehicleState::kDegraded) {
     step_degraded(now, dt, route);
-  } else {
-    move_managed(now, dt, route);
+  } else if (state_ == VehicleState::kSelfEvacuation) {
+    if (s_ < route.core_begin - 5.0) {
+      // Pull over before the junction: brake and move onto the shoulder so
+      // watchers can tell a parked evacuee from an in-lane blocker.
+      v_ = std::max(v_ - limits.max_decel_mps2 * dt, 0.0);
+      lateral_offset_ = std::min(lateral_offset_ + 1.0 * dt, 3.5);
+    } else if (s_ < route.core_end) {
+      // Already inside: clear the core promptly but carefully.
+      v_ = std::max(v_, 0.4 * limits.speed_limit_mps);
+    } else {
+      v_ = std::min(v_ + limits.max_accel_mps2 * dt, limits.speed_limit_mps);
+    }
+    s_ += v_ * dt;
+  } else if (plan_) {
+    s_ = plan_->s_at(now);
+    v_ = plan_->v_at(now);
   }
+  // else: preparation — hold at the communication-zone edge.
 
   if (s_ >= route.path.length() - 0.05) {
     if (state_ == VehicleState::kDegraded) ctx_.metrics->degraded_crossings++;
@@ -228,77 +244,6 @@ void VehicleNode::step(Tick now, Duration dt_ms) {
     ctx_.metrics->global_reports++;
     trace_instant("nwade", "global_report", now);
   }
-}
-
-bool VehicleNode::step_has_side_effects(Tick now) const {
-  // Mirrors step()'s branch structure on the vehicle's own pre-step state.
-  // Physics itself only moves s_/v_/lateral_offset_, so none of these
-  // conditions can flip between classification and the post-physics checks
-  // inside step() — except the exit latch, which step_kinematics() handles.
-  if (state_ == VehicleState::kExited) return false;  // step() is a no-op
-  // Deviators are impure from the start (the trigger latch fires the
-  // violation metric); they are a handful per scenario, so being
-  // conservative here costs nothing.
-  if (attack_.role == VehicleRole::kDeviator) return true;
-  // Degraded crossing senses the conflict box and counts its own metrics.
-  if (state_ == VehicleState::kDegraded) return true;
-  // Incident-report timeout: observes, re-reports, or self-evacuates.
-  if (state_ == VehicleState::kAwaitingResponse && now >= awaiting_deadline_) {
-    return true;
-  }
-  // Plan-request retransmission sends (the kDegraded arm of the condition is
-  // subsumed by the kDegraded check above).
-  if (!plan_ && now >= next_plan_request_at_ &&
-      state_ == VehicleState::kPreparation) {
-    return true;
-  }
-  // Periodic self-evacuation beacon broadcasts.
-  if (state_ == VehicleState::kSelfEvacuation && global_report_sent_ &&
-      now - last_beacon_at_ >= kBeaconPeriodMs) {
-    return true;
-  }
-  return false;
-}
-
-void VehicleNode::move_managed(Tick now, double dt,
-                               const traffic::Route& route) {
-  const auto& limits = ctx_.intersection->config().limits;
-  if (state_ == VehicleState::kSelfEvacuation) {
-    if (s_ < route.core_begin - 5.0) {
-      // Pull over before the junction: brake and move onto the shoulder so
-      // watchers can tell a parked evacuee from an in-lane blocker.
-      v_ = std::max(v_ - limits.max_decel_mps2 * dt, 0.0);
-      lateral_offset_ = std::min(lateral_offset_ + 1.0 * dt, 3.5);
-    } else if (s_ < route.core_end) {
-      // Already inside: clear the core promptly but carefully.
-      v_ = std::max(v_, 0.4 * limits.speed_limit_mps);
-    } else {
-      v_ = std::min(v_ + limits.max_accel_mps2 * dt, limits.speed_limit_mps);
-    }
-    s_ += v_ * dt;
-  } else if (plan_) {
-    s_ = plan_->s_at(now);
-    v_ = plan_->v_at(now);
-  }
-  // else: preparation — hold at the communication-zone edge.
-}
-
-bool VehicleNode::step_kinematics(Tick now, Duration dt_ms) {
-  assert(!step_has_side_effects(now));
-  const auto& route = ctx_.intersection->route(route_id_);
-  // The side-effect-free subset of step()'s physics branches: no deviation
-  // latch (deviators are classified impure), no degraded mode.
-  move_managed(now, static_cast<double>(dt_ms) / 1000.0, route);
-
-  if (s_ >= route.path.length() - 0.05) {
-    // The caller's fixed-order merge owns the bookkeeping the full step()
-    // would have done here (exited metric, network removal, crossing time);
-    // a side-effect-free vehicle cannot be kDegraded, so the degraded
-    // crossing counter never applies on this path.
-    set_state(VehicleState::kExited);
-    return true;
-  }
-  return false;
 }
 
 // --- degraded mode (no plan after all retries) -----------------------------------

@@ -93,9 +93,9 @@ struct VehicleContext {
   /// SoA home for the vehicle's kinematic hot state (progress, speed,
   /// lateral offset); required. The node claims one row at construction and
   /// its s_/v_/lateral_offset_ references alias the column slots, so the
-  /// world's phase kernels can stream every vehicle's kinematics
-  /// contiguously. Must outlive the node and must be reserve()d for every
-  /// row it will ever hold.
+  /// world's car following and sensor-scene rebuild can stream every
+  /// vehicle's kinematics contiguously. Must outlive the node and must be
+  /// reserve()d for every row it will ever hold.
   traffic::VehicleColumns* columns{nullptr};
 };
 
@@ -132,25 +132,6 @@ class VehicleNode final : public net::Node {
   void start();
   /// Physics + timers; call every simulation step.
   void step(Tick now, Duration dt_ms);
-
-  // Deterministic-parallel seams. The world classifies every vehicle from
-  // its own pre-step state, runs maximal side-effect-free runs through
-  // step_kinematics() on the worker pool, and serializes everything else at
-  // its exact id position — byte-identical to calling step() on each
-  // vehicle in id order.
-  /// True when step(now, ·) could do more than advance kinematics and latch
-  /// the exit state: send messages, touch shared metrics, sense, or take a
-  /// protocol transition. Pure function of this vehicle's own state, and
-  /// stable across earlier vehicles' steps (their physics cannot change the
-  /// inputs), so the whole fleet can be classified up front.
-  bool step_has_side_effects(Tick now) const;
-  /// The side-effect-free slice of step(): advances s/v/lateral and latches
-  /// kExited. Returns true when the vehicle exited this step; the caller
-  /// owns the exit bookkeeping (exited metric, network removal, crossing
-  /// time) the full step() would have done. Only valid when
-  /// !step_has_side_effects(now). Safe to run concurrently with other
-  /// vehicles' step_kinematics (touches only this vehicle's rows).
-  bool step_kinematics(Tick now, Duration dt_ms);
 
   /// Neighbourhood watch (Algorithm 2), run every watch interval in three
   /// parts: eligibility, the pure half, then the commit. One watch is
@@ -262,9 +243,6 @@ class VehicleNode final : public net::Node {
   void retry_plan_request(Tick now);
   void enter_degraded(Tick now);
   void step_degraded(Tick now, double dt, const traffic::Route& route);
-  /// Self-evacuation and plan following: the motion step() and
-  /// step_kinematics() share.
-  void move_managed(Tick now, double dt, const traffic::Route& route);
   /// True when our sensors show the conflict area clear for long enough to
   /// cross it at the degraded creep speed (see docs/FAULT_MODEL.md).
   bool degraded_box_clear(Tick now) const;

@@ -13,14 +13,11 @@ using protocol::VehicleAttackProfile;
 using protocol::VehicleRole;
 
 namespace {
-/// Fixed chunk sizes for the deterministic phase kernels. Constants — never
-/// derived from the thread count — so chunk boundaries, and therefore any
-/// per-chunk partials merged in chunk order, are identical for every pool
-/// size (see util::WorkerPool::parallel_for).
-constexpr std::size_t kPhysicsChunk = 64;
-/// Small, so a step's few dozen due watchers spread over every pool thread.
+/// Fixed chunk size of the watch-scan fan-out: a constant, never derived
+/// from the thread count, so chunk boundaries are identical for every pool
+/// size (see util::WorkerPool::parallel_for). Small, so a step's few dozen
+/// due watchers spread over every pool thread.
 constexpr std::size_t kWatchChunk = 4;
-constexpr std::size_t kAuditChunk = 64;
 }  // namespace
 
 World::World(ScenarioConfig config) : World(std::move(config), -1) {}
@@ -317,62 +314,34 @@ void World::step_legacy(Duration dt_ms) {
   if (legacy_.empty()) return;
   const double dt = static_cast<double>(dt_ms) / 1000.0;
   const auto& limits = intersection_.config().limits;
-  // Managed vehicles do not move during step_legacy, so one snapshot serves
-  // every legacy vehicle this step.
-  follow_grid_.clear();
-  follow_nodes_.clear();
-  follow_grid_.reserve(vehicles_.size());
-  for (const auto& [oid, v] : vehicles_) {
-    if (v->exited()) continue;
-    follow_grid_.insert(v->position());
-    follow_nodes_.push_back(v.get());
+  // Simple car-following: brake for the nearest vehicle ahead on the same
+  // route, so each follower scans only its route's bucket. Managed vehicles
+  // do not move during this phase, so their progress is read once; legacy
+  // neighbours are read live, and earlier ones have already moved this step
+  // — exactly what a scan over every vehicle in id order sees, since the
+  // gap is a min that no bucket order can change.
+  follow_routes_.resize(intersection_.routes().size());
+  for (FollowRoute& route : follow_routes_) {
+    route.managed_s.clear();
+    route.legacy.clear();
   }
-  // Legacy positions advance during the loop below (each entry moves as it
-  // is stepped), so this snapshot can lag a neighbour by one step — at most
-  // ~1.3 m at legacy cruise speeds. The query radius absorbs that; the
-  // predicate always reads the live fields through the map.
-  legacy_follow_grid_.clear();
-  legacy_follow_refs_.clear();
-  legacy_follow_grid_.reserve(legacy_.size());
-  for (const auto& [oid, o] : legacy_) {
-    if (o.exited) continue;
-    legacy_follow_grid_.insert(legacy_position(o));
-    legacy_follow_refs_.emplace_back(oid, &o);
+  for (std::size_t r = 0; r < columns_.size(); ++r) {
+    if (columns_.active[r] == 0) continue;
+    follow_routes_[columns_.route[r]].managed_s.push_back(columns_.s[r]);
+  }
+  for (const auto& [id, l] : legacy_) {
+    if (!l.exited) follow_routes_[l.route_id].legacy.push_back(&l);
   }
   for (auto& [id, l] : legacy_) {
     if (l.exited) continue;
-    // Simple car-following: brake for any vehicle ahead on the same route.
-    // Only gaps below the 45 m car-following horizon influence the speed
-    // target, and a same-route vehicle ds metres ahead along the path lies
-    // at most ds + |lateral offset| metres away in the plane (chord <= arc),
-    // so a 55 m disc around the legacy vehicle contains every managed
-    // vehicle that could matter. A vehicle the disc misses has gap >= 45
-    // and changes neither branch of the target computation, so the indexed
-    // lookup equals a scan over every vehicle.
+    const FollowRoute& route = follow_routes_[l.route_id];
     double gap = 1e9;
-    follow_scratch_.clear();
-    follow_grid_.query_candidates(legacy_position(l), 55.0, follow_scratch_);
-    for (const std::size_t idx : follow_scratch_) {
-      const protocol::VehicleNode* v = follow_nodes_[idx];
-      if (v->exited() || v->route_id() != l.route_id) continue;
-      const double ds = v->progress_s() - l.s;
+    for (const double s : route.managed_s) {
+      const double ds = s - l.s;
       if (ds > 0.1) gap = std::min(gap, ds);
     }
-    // Legacy-vs-legacy. Earlier map entries have already moved this step, so
-    // the values read here are live by construction — but the scan only
-    // folds them into a min, which no candidate ordering can change. The
-    // index is therefore used as a pre-filter over a top-of-step snapshot
-    // (never as the iteration), and the predicate reads the live fields:
-    // a neighbour whose ds could fall below the 45 m horizon lies within
-    // 45 m along the path, hence within 45 m in the plane at snapshot time
-    // (chord <= arc, and snapshots only trail live positions), well inside
-    // the 55 m disc.
-    follow_scratch_.clear();
-    legacy_follow_grid_.query_candidates(legacy_position(l), 55.0,
-                                         follow_scratch_);
-    for (const std::size_t idx : follow_scratch_) {
-      const auto& [oid, o] = legacy_follow_refs_[idx];
-      if (oid == id || o->exited || o->route_id != l.route_id) continue;
+    for (const LegacyVehicle* o : route.legacy) {
+      if (o == &l || o->exited) continue;
       const double ds = o->s - l.s;
       if (ds > 0.1) gap = std::min(gap, ds);
     }
@@ -420,17 +389,13 @@ void World::step_world(Tick now) {
     if (tracing) trace_span(name, now, t0, items);
   };
 
-  const bool count_allocs = util::alloc_counting_enabled();
-
   phase_begin();
   step_legacy(dt);
   phase_end("phase.legacy", static_cast<std::int64_t>(legacy_.size()));
 
   // Phase 1: physics for everyone, so watchers later observe a consistent
-  // time-t snapshot regardless of iteration order. The chunked kernel is
-  // byte-identical to a serial step() loop in id order (see step_physics).
+  // time-t snapshot regardless of iteration order.
   phase_begin();
-  if (count_allocs) last_step_allocs_ = {};  // kernels below accumulate
   step_physics(now, dt);
   phase_end("phase.physics", static_cast<std::int64_t>(vehicles_.size()));
 
@@ -443,67 +408,24 @@ void World::step_world(Tick now) {
   // legacy vehicles alike; the staging area is excluded).
   if (now % 1000 == 0) {
     phase_begin();
-    const std::size_t audited = step_gap_audit(now);
+    const std::size_t audited = step_gap_audit();
     phase_end("phase.gap_audit", static_cast<std::int64_t>(audited));
   }
 }
 
 void World::step_physics(Tick now, Duration dt) {
-  // Classify the whole fleet from its pre-step state, then execute maximal
-  // runs of side-effect-free vehicles on the pool and everything else
-  // serially at its exact id position. An impure vehicle k therefore
-  // observes ids < k moved and ids > k unmoved — exactly the serial loop's
-  // interleaving — and every piece of shared bookkeeping (metrics, network
-  // membership, crossing times) commits serially in ascending id order.
+  // In id order, so a vehicle whose step senses (a degraded vehicle checking
+  // the conflict box) sees lower ids moved and higher ids not yet, and the
+  // exit bookkeeping commits in id order.
   in_physics_ = true;
-  step_nodes_.clear();
-  step_impure_.clear();
-  for (auto& [id, vehicle] : vehicles_) {
-    if (vehicle->exited()) continue;
-    step_nodes_.push_back(vehicle.get());
-    step_impure_.push_back(vehicle->step_has_side_effects(now) ? 1 : 0);
-  }
-  const std::size_t n = step_nodes_.size();
-  step_exited_.assign(n, 0);
-  std::size_t i = 0;
-  while (i < n) {
-    if (step_impure_[i] != 0) {
-      protocol::VehicleNode* v = step_nodes_[i];
-      v->step(now, dt);
-      if (v->exited()) {
-        network_->remove_node(v->node_id());
-        crossing_times_.push_back(now - spawn_times_[v->id()]);
-        record_exit(*v, now);
-      }
-      ++i;
-      continue;
+  for (auto& [id, v] : vehicles_) {
+    if (v->exited()) continue;
+    v->step(now, dt);
+    if (v->exited()) {
+      network_->remove_node(v->node_id());
+      crossing_times_.push_back(now - spawn_times_[id]);
+      record_exit(*v, now);
     }
-    std::size_t j = i;
-    while (j < n && step_impure_[j] == 0) ++j;
-    // Meter only the chunked kernel: the serial merge below appends crossing
-    // times and prunes network membership, which may legitimately allocate.
-    const std::uint64_t allocs0 =
-        util::alloc_counting_enabled() ? util::process_alloc_count() : 0;
-    step_pool_.parallel_for(
-        j - i, kPhysicsChunk, [&, i](std::size_t begin, std::size_t end) {
-          for (std::size_t k = begin; k < end; ++k) {
-            step_exited_[i + k] =
-                step_nodes_[i + k]->step_kinematics(now, dt) ? 1 : 0;
-          }
-        });
-    if (util::alloc_counting_enabled()) {
-      last_step_allocs_.physics += util::process_alloc_count() - allocs0;
-    }
-    for (std::size_t k = i; k < j; ++k) {
-      if (step_exited_[k] == 0) continue;
-      // step() counts its own exit; for the kinematics-only path the merge
-      // owns it, plus the world-side removal and crossing-time append.
-      metrics_.vehicles_exited++;
-      network_->remove_node(step_nodes_[k]->node_id());
-      crossing_times_.push_back(now - spawn_times_[step_nodes_[k]->id()]);
-      record_exit(*step_nodes_[k], now);
-    }
-    i = j;
   }
   in_physics_ = false;
   ++position_epoch_;  // managed vehicles moved
@@ -517,6 +439,7 @@ void World::step_watch(Tick now, Tick step_index, Tick watch_every) {
   // at zero latency), so no commit can change what another watcher senses or
   // decides — the serial per-vehicle watch and this split produce identical
   // runs.
+  last_step_allocs_ = {};
   watch_due_.clear();
   for (auto& [id, vehicle] : vehicles_) {
     if (vehicle->exited()) continue;
@@ -552,7 +475,7 @@ void World::step_watch(Tick now, Tick step_index, Tick watch_every) {
     }
   });
   if (util::alloc_counting_enabled()) {
-    last_step_allocs_.watch += util::process_alloc_count() - allocs0;
+    last_step_allocs_.watch = util::process_alloc_count() - allocs0;
   }
   if (tracing) {
     std::int64_t pairs = 0;
@@ -583,8 +506,7 @@ void World::trace_span(const char* name, Tick now,
   tracer_.complete("sim", name, now, now, wall_us, "items", items);
 }
 
-std::size_t World::step_gap_audit(Tick now) {
-  (void)now;
+std::size_t World::step_gap_audit() {
   audit_probes_.clear();
   audit_probes_.reserve(vehicles_.size() + legacy_.size());
   for (const auto& [id, v] : vehicles_) {
@@ -623,32 +545,11 @@ std::size_t World::step_gap_audit(Tick now) {
     return a.pos.distance_to(b.pos) < 1.5;
   };
   const std::size_t n = audit_probes_.size();
-  // Chunked over the member grid (capacity-retaining clear): each chunk
-  // counts its probes' j > i partners within a 2 m disc — a superset of the
-  // audited < 1.5 m pairs, so every violating pair is counted exactly once —
-  // into a per-chunk partial, and the partials merge in chunk order. The
-  // total is an order-independent integer sum, so it equals the all-pairs
-  // count at any thread count.
-  audit_grid_.clear();
-  audit_grid_.reserve(n);
-  for (const AuditProbe& p : audit_probes_) audit_grid_.insert(p.pos);
-  const std::size_t chunks = n == 0 ? 0 : (n + kAuditChunk - 1) / kAuditChunk;
-  audit_partials_.assign(chunks, 0);
-  step_pool_.parallel_for(
-      n, kAuditChunk, [&](std::size_t begin, std::size_t end) {
-        static thread_local std::vector<std::size_t> cand;
-        int violations = 0;
-        for (std::size_t i = begin; i < end; ++i) {
-          cand.clear();
-          audit_grid_.query_candidates(audit_probes_[i].pos, 2.0, cand);
-          for (const std::size_t j : cand) {
-            if (j <= i) continue;
-            if (violates(audit_probes_[i], audit_probes_[j])) ++violations;
-          }
-        }
-        audit_partials_[begin / kAuditChunk] = violations;
-      });
-  for (const int partial : audit_partials_) gap_violations_ += partial;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (violates(audit_probes_[i], audit_probes_[j])) ++gap_violations_;
+    }
+  }
   return n;
 }
 
@@ -780,14 +681,6 @@ void World::rebuild_sense_scene() const {
                  &l});
   }
   sense_built_epoch_ = position_epoch_;
-}
-
-std::vector<protocol::Observation> World::sense_around(geom::Vec2 center,
-                                                       double radius,
-                                                       VehicleId exclude) const {
-  std::vector<protocol::Observation> out;
-  sense_around_into(center, radius, exclude, out);
-  return out;
 }
 
 void World::sense_around_into(geom::Vec2 center, double radius,

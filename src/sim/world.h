@@ -15,7 +15,6 @@
 
 #include "crypto/signer.h"
 #include "crypto/verify_cache.h"
-#include "geom/spatial_hash.h"
 #include "net/network.h"
 #include "nwade/config.h"
 #include "nwade/im_node.h"
@@ -70,13 +69,13 @@ struct ScenarioConfig {
   /// trace_golden digests are byte-identical either way.
   bool trace_enabled{false};
 
-  /// Worker threads for the intra-world phase kernels (chunked physics /
-  /// watch scans / gap audit). <= 1 runs everything inline on the calling
-  /// thread. Chunk boundaries and every merge are fixed, so results are
-  /// byte-identical for ANY value — this is a wall-clock knob, never a
-  /// behaviour knob. Deliberately not part of the checkpoint envelope: a
-  /// resumed world may pick a different thread count and still continue
-  /// bit-exactly.
+  /// Worker threads for the one pooled step kernel, the neighbourhood watch
+  /// scan (every other phase runs serially on the calling thread). <= 1
+  /// runs the scan inline too. Chunk boundaries are fixed and the commit is
+  /// serial in id order, so results are byte-identical for ANY value — this
+  /// is a wall-clock knob, never a behaviour knob. Deliberately not part of
+  /// the checkpoint envelope: a resumed world may pick a different thread
+  /// count and still continue bit-exactly.
   int step_threads{1};
 
   // --- grid-sharding hooks (sim::Grid) ---------------------------------------
@@ -158,8 +157,6 @@ class World final : public protocol::SensorProvider {
                                                    std::string* error = nullptr);
 
   // --- SensorProvider -------------------------------------------------------
-  std::vector<protocol::Observation> sense_around(geom::Vec2 center, double radius,
-                                                  VehicleId exclude) const override;
   /// Allocation-free once `out` has room for every live vehicle: fills it
   /// (cleared first) from the sensor scene. Thread-safe for concurrent
   /// callers once the scene is built for the current position epoch
@@ -168,16 +165,14 @@ class World final : public protocol::SensorProvider {
                          std::vector<protocol::Observation>& out) const override;
   std::optional<protocol::Observation> observe(VehicleId id) const override;
 
-  /// Heap allocations the chunked kernels of the most recent step performed
+  /// Heap allocations the pooled kernel of the most recent step performed
   /// (process-wide, so pool threads are covered) — measured only in
-  /// NWADE_COUNT_ALLOCS builds (always zero otherwise). `physics` meters the
-  /// pure-run kinematics fan-outs; `watch` meters the watch-scan fan-out
-  /// (sensing plus Algorithm 2's pure decisions). The serial merges and
-  /// commits around them (crossing-time appends, incident reports, block
-  /// requests) allocate by design and are excluded.
-  /// The alloc-gate test asserts the warmed kernels never allocate.
+  /// NWADE_COUNT_ALLOCS builds (always zero otherwise). `watch` meters the
+  /// watch-scan fan-out (sensing plus Algorithm 2's pure decisions); the
+  /// serial commit after it (incident reports, block requests) allocates by
+  /// design and is excluded. The alloc-gate test asserts the warmed kernel
+  /// never allocates.
   struct StepAllocCounts {
-    std::uint64_t physics{0};
     std::uint64_t watch{0};
   };
   StepAllocCounts last_step_allocs() const { return last_step_allocs_; }
@@ -306,11 +301,11 @@ class World final : public protocol::SensorProvider {
                   std::chrono::steady_clock::time_point t0, std::int64_t items);
   void rebuild_sense_scene() const;
 
-  // Chunked phase kernels (byte-identical to serial per-vehicle loops in id
-  // order at any step_threads; each kernel states its equivalence argument).
+  // The step phases after step_legacy. Only step_watch fans out on the
+  // pool; it states why that equals the serial per-vehicle watch.
   void step_physics(Tick now, Duration dt);
   void step_watch(Tick now, Tick step_index, Tick watch_every);
-  std::size_t step_gap_audit(Tick now);
+  std::size_t step_gap_audit();
 
   ScenarioConfig config_;
   traffic::Intersection intersection_;
@@ -327,9 +322,10 @@ class World final : public protocol::SensorProvider {
   std::set<VehicleId> malicious_ids_;
   std::map<VehicleId, protocol::VehicleAttackProfile> attack_roles_;
   /// SoA home for every managed vehicle's kinematic hot state; row r belongs
-  /// to the r-th spawned vehicle (rows append in ascending id order, exited
-  /// rows stay with active == 0). Reserved up front for every arrival so the
-  /// node-held references never dangle.
+  /// to the r-th spawned vehicle (ascending id in a standalone world, while
+  /// grid handoffs append foreign ids as they arrive; exited rows stay with
+  /// active == 0). Reserved up front for every arrival so the node-held
+  /// references never dangle.
   traffic::VehicleColumns columns_;
   /// row_nodes_[r] is the node owning SoA row r (spawn order).
   std::vector<const protocol::VehicleNode*> row_nodes_;
@@ -354,17 +350,14 @@ class World final : public protocol::SensorProvider {
   /// (grid shards, campaign cells) never share or lock one.
   crypto::SigVerifyCache verify_cache_;
 
-  /// Worker pool behind the chunked phase kernels; 0 workers
-  /// (step_threads <= 1) runs everything inline.
+  /// Worker pool behind the watch scan; 0 workers (step_threads <= 1) runs
+  /// it inline.
   util::WorkerPool step_pool_;
   /// One verifier shared by every vehicle, memoizing into verify_cache_.
   std::shared_ptr<const crypto::Verifier> im_verifier_;
 
-  // Reused phase scratch (chunked kernels): cleared and refilled every step
-  // so the warmed steady state never touches the heap.
-  std::vector<protocol::VehicleNode*> step_nodes_;
-  std::vector<std::uint8_t> step_impure_;
-  std::vector<std::uint8_t> step_exited_;
+  // Reused phase scratch: cleared and refilled every step so the warmed
+  // steady state never touches the heap.
   std::vector<protocol::VehicleNode*> watch_due_;
   /// watch_scratch_[k] carries watch_due_[k]'s watch from its pooled scan to
   /// its commit. Sized serially to the scene before each fan-out.
@@ -376,8 +369,16 @@ class World final : public protocol::SensorProvider {
     bool parked_off_lane{false};
   };
   std::vector<AuditProbe> audit_probes_;
-  geom::SpatialHash audit_grid_{2.0};  ///< capacity-retaining, cleared per audit
-  std::vector<int> audit_partials_;
+  /// Car following reads only the follower's own route: one bucket per
+  /// route, refilled at the top of each step_legacy call with the managed
+  /// progress values (managed vehicles do not move during the phase) and
+  /// the live legacy vehicles (read through the pointer, since each moves
+  /// as it is stepped).
+  struct FollowRoute {
+    std::vector<double> managed_s;
+    std::vector<const LegacyVehicle*> legacy;
+  };
+  std::vector<FollowRoute> follow_routes_;
   StepAllocCounts last_step_allocs_;
 
   /// Bumped whenever positions may have changed: at each spawn and after
@@ -401,17 +402,6 @@ class World final : public protocol::SensorProvider {
   };
   mutable std::vector<SceneRow> sense_scene_;
   mutable std::uint64_t sense_built_epoch_{~0ULL};
-
-  // Car-following lookup index: managed positions snapshotted at the top of
-  // each step_legacy call (managed vehicles do not move during it).
-  geom::SpatialHash follow_grid_{32.0};
-  std::vector<const protocol::VehicleNode*> follow_nodes_;
-  std::vector<std::size_t> follow_scratch_;
-  // Legacy-vs-legacy lookup: positions snapshotted at the top of step_legacy
-  // (they drift up to one step during it; the query radius absorbs that and
-  // the predicate reads the live fields through the stored pointers).
-  geom::SpatialHash legacy_follow_grid_{32.0};
-  std::vector<std::pair<VehicleId, const LegacyVehicle*>> legacy_follow_refs_;
 };
 
 }  // namespace nwade::sim

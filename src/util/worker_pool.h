@@ -1,8 +1,10 @@
 // Deterministic fork-join worker pool.
 //
 // Built for one job shape: a tick produces N independent, pure units of
-// work (per-vehicle signature verifications), and the caller needs all N
-// results in input order before proceeding. Threads race to *claim* indices
+// work, and the caller needs all N results in input order before
+// proceeding. Its users are the World's neighbourhood-watch scan (one
+// chunk of due watchers per task), sim::Grid (one shard's step per task)
+// and sim::run_campaign (one cell per task). Threads race to *claim* indices
 // but every result lands in its own pre-allocated slot, so the merged
 // output is a pure function of the inputs — bit-for-bit identical for any
 // thread count, and a pool of size <= 1 never spawns a thread at all (the

@@ -96,15 +96,14 @@ class Harness : public SensorProvider {
   }
 
   // --- SensorProvider -----------------------------------------------------
-  std::vector<Observation> sense_around(geom::Vec2 center, double radius,
-                                        VehicleId exclude) const override {
-    std::vector<Observation> out;
+  void sense_around_into(geom::Vec2 center, double radius, VehicleId exclude,
+                         std::vector<Observation>& out) const override {
+    out.clear();
     for (const auto& [id, v] : vehicles_) {
       if (id == exclude || v->exited() || !v->has_plan()) continue;
       if (v->position().distance_to(center) > radius) continue;
       out.push_back(Observation{id, v->traits(), v->ground_truth()});
     }
-    return out;
   }
   std::optional<Observation> observe(VehicleId id) const override {
     const auto it = vehicles_.find(id);

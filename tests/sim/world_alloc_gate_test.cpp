@@ -1,12 +1,12 @@
-// Allocation gate for the chunked world-step kernels (ctest label: alloc).
+// Allocation gate for the pooled world-step kernel (ctest label: alloc).
 //
 // World::last_step_allocs() meters the process-wide heap-allocation counter
-// around exactly the chunked fan-outs of a step — the pure-run kinematics
-// kernel and the sensor-scan kernel — excluding the serial merges and emits
-// around them, which send protocol messages and allocate by design. Once a
-// world is warm (scratch capacities grown, sensor grids and pools sized),
-// both kernels must stay at exactly zero on every subsequent step, spawns
-// and exits included, at one step thread (inline chunks) and at four (the
+// around exactly the one fan-out of a step, the watch scan (sensing plus
+// Algorithm 2's pure decisions), excluding the serial commit after it,
+// which sends protocol messages and allocates by design. Once a world is
+// warm (scratch capacities grown, the sensor scene and the pool sized), the
+// kernel must stay at exactly zero on every subsequent step, spawns and
+// exits included, at one step thread (inline chunks) and at four (the
 // threaded fan-out). Only measured in -DNWADE_COUNT_ALLOCS=ON builds; the
 // default build skips.
 #include <gtest/gtest.h>
@@ -36,21 +36,20 @@ TEST_P(WorldAllocGate, ChunkedStepKernelsAreAllocationFreeOnceWarm) {
   cfg.seed = 1;
 
   World world(cfg);
-  world.run_until(30'000);  // warm: scratch capacities, grids, pool state
+  world.run_until(30'000);  // warm: scratch capacities, the scene, pool state
 
   int measured = 0;
   for (Tick t = 30'000 + cfg.step_ms; t <= cfg.duration_ms; t += cfg.step_ms) {
     world.run_until(t);
     const auto allocs = world.last_step_allocs();
-    ASSERT_EQ(allocs.physics, 0u) << "physics kernel allocated at t=" << t;
     ASSERT_EQ(allocs.watch, 0u) << "watch scan kernel allocated at t=" << t;
     ++measured;
   }
   EXPECT_EQ(measured, 600);  // 60 s of 100 ms steps, none skipped
 }
 
-// Same gate under an attack scenario: the deviator runs serially (its step
-// has side effects), so the chunked kernels around it must stay clean.
+// Same gate under an attack scenario: watchers that sense the deviator
+// report it in the serial commit, so the scan before it must stay clean.
 TEST_P(WorldAllocGate, KernelsStayCleanUnderDeviationAttack) {
   REQUIRE_COUNTING();
   ScenarioConfig cfg;
@@ -66,7 +65,6 @@ TEST_P(WorldAllocGate, KernelsStayCleanUnderDeviationAttack) {
   for (Tick t = 40'000 + cfg.step_ms; t <= cfg.duration_ms; t += cfg.step_ms) {
     world.run_until(t);
     const auto allocs = world.last_step_allocs();
-    ASSERT_EQ(allocs.physics, 0u) << "physics kernel allocated at t=" << t;
     ASSERT_EQ(allocs.watch, 0u) << "watch scan kernel allocated at t=" << t;
   }
 }

@@ -1,9 +1,9 @@
-// Lock-step equivalence of the World's indexed sensor query: sense_around()
-// (padded spatial-hash candidates, then exact live-state predicates — logic
-// the SpatialHash unit tests cannot see) must answer exactly what a
-// brute-force scan over every vehicle, written below from public calls,
-// answers — every 5 s through each golden-trace scenario. The trace_golden
-// digests pin the rest of the indexed stepping end to end.
+// Lock-step equivalence of the World's sensor query: sense_around() (the
+// exact scene's precomputed observations, filtered by distance, with
+// visibility and exit read live) must answer exactly what a brute-force
+// scan over every vehicle, written below from public calls, answers —
+// every 5 s through each golden-trace scenario. The trace_golden digests
+// pin the rest of the stepping end to end.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -93,8 +93,8 @@ std::vector<protocol::Observation> brute_force_sense(World& world,
 }
 
 TEST(WorldEquivalence, SenseAroundMatchesBruteForceScan) {
-  // Probes chosen to straddle grid-cell boundaries: the staging approaches,
-  // the conflict core, and a far point whose disc exceeds the occupied area.
+  // Probes spread over the junction: the staging approaches, the conflict
+  // core, and a far point whose disc exceeds the occupied area.
   const struct {
     geom::Vec2 center;
     double radius;
@@ -140,12 +140,12 @@ TEST(WorldEquivalence, SenseAroundMatchesBruteForceScan) {
   }
 }
 
-// The broadcast pre-filter must leave the channel accounting untouched:
-// packets_out_of_range counts every non-receiver exactly as an all-pairs
-// range check does. The expected values were produced by the all-pairs
-// broadcast scan on this scenario. The radius is cut to 300 m so the grid
-// filter actually rejects nodes (at the default 1500 ft every vehicle of
-// the cross4 zone is in range and the count is 0).
+// The broadcast range scan's channel accounting: packets_out_of_range
+// counts every non-receiver once, as a range check of each pair does. The
+// expected values were produced by the all-pairs broadcast scan on this
+// scenario. The radius is cut to 300 m so some nodes fall out of range (at
+// the default 1500 ft every vehicle of the cross4 zone is in range and the
+// count is 0).
 TEST(WorldEquivalence, OutOfRangeAccountingMatches) {
   ScenarioConfig cfg = golden(traffic::IntersectionKind::kCross4, 120, 7);
   cfg.duration_ms = 30'000;

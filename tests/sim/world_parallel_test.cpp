@@ -1,10 +1,10 @@
 // Intra-world parallelism determinism lock (ctest label: chaos, so the
 // TSan tree vets the chunked fan-out): `ScenarioConfig::step_threads` may
-// only change the wall clock, never a result byte. The chunked physics /
-// watch / gap-audit kernels use fixed chunk boundaries and fixed-order
-// merges, and signatures are verified on the stepping thread during event
-// delivery — so any thread count must reproduce the single-threaded run bit
-// for bit, summary digest included.
+// only change the wall clock, never a result byte. The pooled watch scan
+// uses fixed chunk boundaries and commits serially in id order, every other
+// phase runs serially, and signatures are verified on the stepping thread
+// during event delivery — so any thread count must reproduce the
+// single-threaded run bit for bit, summary digest included.
 #include <gtest/gtest.h>
 
 #include <cstdio>
