@@ -6,7 +6,7 @@ Covers the comparison semantics the perf workflow leans on:
   * timing phases regressing beyond --threshold fail, within it pass;
   * speedup phases shrinking beyond --speedup-threshold fail on comparable
     hardware, but downgrade to advisory when either envelope was recorded
-    with single_core_host=true (the guard bench_world_step emits);
+    with single_core_host=true (a thread-scaling row from a 1-core host);
   * mismatched hardware_concurrency downgrades timing failures to warnings
     unless --strict re-arms them;
   * phases present on only one side are advisory unless --strict;
@@ -84,7 +84,7 @@ class BenchDiffTest(unittest.TestCase):
         self.assertEqual(self._run(base, cand, "--speedup-threshold", "10"), 1)
 
     def test_speedup_shrink_advisory_on_single_core_host(self):
-        # The guard rail bench_world_step records: a 1-core envelope cannot show
+        # The single_core_host guard rail: a 1-core envelope cannot show
         # scaling, so a shrunk speedup is a note, not a failure.
         base = envelope([{"name": "scale", "speedup_x": 4.0}])
         cand = envelope([{"name": "scale", "speedup_x": 1.0}],
