@@ -1,4 +1,4 @@
-// Perf-regression driver for the two hot paths this repo optimized:
+// Perf-regression driver for the hot paths this repo optimized:
 //
 //   A. schedule() under dense traffic (120 veh/min, 4-way cross) through
 //      the indexed IntervalTable path (tests/aim/scheduler_equivalence_test
@@ -12,6 +12,11 @@
 //   C. the telemetry tax: the same seeded World run with the event tracer
 //      off vs on. The envelope carries the measured overhead as a top-level
 //      telemetry_overhead_pct field (docs/OBSERVABILITY.md quotes it).
+//   D. the checkpoint writer: checkpoint_save() of one saturated HMAC world
+//      (cross4, 120 veh/min, stepped once) as the median over several
+//      saves of the same state, and util::crc32 over 16 MiB (1 MiB under
+//      --smoke). The envelope carries the saved size as a top-level
+//      checkpoint_bytes field.
 //
 // Emits BENCH_hot_paths.json in the nwade-bench-v1 envelope (support.h).
 // `--smoke` shrinks every dimension and validates the JSON round-trip; the
@@ -29,6 +34,7 @@
 #include "sim/world.h"
 #include "support.h"
 #include "traffic/arrivals.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace {
@@ -125,6 +131,44 @@ bench::TimingStats time_world_run(Duration duration_ms, bool trace, int warmup,
   });
 }
 
+// --- phase D: checkpoint envelope writer ------------------------------------
+
+/// A saturated HMAC world stepped to `duration_ms`: the state a serve
+/// process checkpoints once demand has outrun the junction.
+std::unique_ptr<sim::World> saturated_world(Duration duration_ms) {
+  sim::ScenarioConfig cfg;
+  cfg.intersection.kind = traffic::IntersectionKind::kCross4;
+  cfg.vehicles_per_minute = 120;
+  cfg.duration_ms = duration_ms;
+  cfg.seed = 11;
+  auto world = std::make_unique<sim::World>(std::move(cfg));
+  world->run_until(duration_ms);
+  return world;
+}
+
+/// Saves of one unchanged world; every save must write the same size.
+bench::TimingStats time_checkpoint_save(const sim::World& world,
+                                        std::size_t& bytes, int warmup,
+                                        int reps) {
+  bytes = 0;
+  return bench::timed_median(warmup, reps, [&] {
+    const Bytes blob = world.checkpoint_save();
+    if (blob.empty() || (bytes != 0 && blob.size() != bytes)) std::abort();
+    bytes = blob.size();
+  });
+}
+
+bench::TimingStats time_crc32(const Bytes& data, int warmup, int reps) {
+  std::uint32_t first = 0;
+  bool have = false;
+  return bench::timed_median(warmup, reps, [&] {
+    const std::uint32_t crc = util::crc32(data);
+    if (have && crc != first) std::abort();
+    first = crc;
+    have = true;
+  });
+}
+
 int run(const Options& opt) {
   const auto t_start = std::chrono::steady_clock::now();
 
@@ -176,6 +220,22 @@ int run(const Options& opt) {
                 world_untraced.median_ms
           : 0;
 
+  const Duration ckpt_world_ms = opt.smoke ? 30'000 : 120'000;
+  const std::size_t crc_len = opt.smoke ? (1u << 20) : (16u << 20);
+  std::printf("phase D: checkpoint_save of a %lld ms saturated world, "
+              "crc32 over %zu bytes\n",
+              static_cast<long long>(ckpt_world_ms), crc_len);
+  const auto ckpt_world = saturated_world(ckpt_world_ms);
+  std::size_t ckpt_bytes = 0;
+  const auto ckpt_save =
+      time_checkpoint_save(*ckpt_world, ckpt_bytes, warmup, reps);
+  Bytes crc_input(crc_len);
+  Rng crc_rng(3);
+  for (std::uint8_t& b : crc_input) {
+    b = static_cast<std::uint8_t>(crc_rng.next_u64());
+  }
+  const auto crc = time_crc32(crc_input, warmup, reps);
+
   const std::vector<std::string> phases = {
       bench::json_phase("schedule_dense_indexed", sched_indexed),
       bench::json_phase("fanout_verify_uncached", fan_uncached),
@@ -183,6 +243,8 @@ int run(const Options& opt) {
       bench::json_speedup("fanout_verify", fan_speedup),
       bench::json_phase("world_run_untraced", world_untraced),
       bench::json_phase("world_run_traced", world_traced),
+      bench::json_phase("checkpoint_save", ckpt_save),
+      bench::json_phase("crc32", crc),
   };
 
   const double wall_s = std::chrono::duration<double>(
@@ -190,7 +252,9 @@ int run(const Options& opt) {
                             .count();
   const std::string envelope = bench::bench_envelope(
       "hot_paths", wall_s, phases,
-      {bench::json_field("telemetry_overhead_pct", telemetry_overhead_pct, 2)});
+      {bench::json_field("telemetry_overhead_pct", telemetry_overhead_pct, 2),
+       bench::json_field("checkpoint_bytes", static_cast<double>(ckpt_bytes),
+                         0)});
   if (!bench::json_well_formed(envelope)) {
     std::fprintf(stderr, "FAIL: emitted envelope is not well-formed JSON\n");
     return 1;
@@ -225,6 +289,10 @@ int run(const Options& opt) {
     std::printf("telemetry overhead:     %.2f%% (untraced %.2f ms -> traced %.2f ms)\n",
                 telemetry_overhead_pct, world_untraced.median_ms,
                 world_traced.median_ms);
+    std::printf("checkpoint_save:        %.2f ms (%zu bytes)\n",
+                ckpt_save.median_ms, ckpt_bytes);
+    std::printf("crc32 16 MiB:           %.2f ms (%.0f MB/s)\n", crc.median_ms,
+                crc.median_ms > 0 ? crc_len / 1e3 / crc.median_ms : 0.0);
   }
   return 0;
 }
