@@ -12,8 +12,10 @@
 # grid and campaign runs whose concurrent worlds each verify through their
 # own unlocked signature cache and write their own unlocked metrics
 # registry and tracer (plain single-owner objects), so any of them shared
-# between threads would be reported; ASan adds the obs and soak labels (the
-# TCP sink machinery, serve's snapshot restore probe and resume path);
+# between threads would be reported; ASan adds the obs, soak and ckpt labels
+# (the TCP sink machinery, serve's snapshot restore probe and resume path,
+# the checkpoint suites and the CRC test: the envelope writer patches CRCs
+# and lengths at byte offsets);
 # UBSan runs the full suite with UBSAN_OPTIONS=halt_on_error=1, so any
 # report fails the test that reached it.
 #
@@ -65,8 +67,8 @@ for stage in "${stages[@]}"; do
       run_tree build-alloc -DNWADE_COUNT_ALLOCS=ON -- -L alloc -j "$JOBS"
       ;;
     asan)
-      echo "=== ASan tree: chaos + obs + soak suites ==="
-      run_tree build-asan -DSANITIZE=address -- -L 'chaos|obs|soak'
+      echo "=== ASan tree: chaos + obs + soak + ckpt suites ==="
+      run_tree build-asan -DSANITIZE=address -- -L 'chaos|obs|soak|ckpt'
       ;;
     tsan)
       echo "=== TSan tree: chaos suite ==="
