@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "crypto/sha256.h"
@@ -165,20 +166,34 @@ std::string run_summary_digest(const RunSummary& s) {
 
 // --- section tables -----------------------------------------------------------
 
-void SectionWriter::add_bytes(std::string name, Bytes payload) {
-  sections_.emplace_back(std::move(name), std::move(payload));
+SectionWriter::SectionWriter(ByteWriter& out, std::string_view schema)
+    : out_(out) {
+  out_.str(schema);
+  count_slot_ = out_.size();
+  out_.u32(0);
 }
 
-Bytes SectionWriter::finish(std::string_view schema) const {
-  ByteWriter out;
-  out.str(schema);
-  out.u32(static_cast<std::uint32_t>(sections_.size()));
-  for (const auto& [name, payload] : sections_) {
-    out.str(name);
-    out.u32(util::crc32(payload));
-    out.bytes(payload);
-  }
-  return out.take();
+std::size_t SectionWriter::open(std::string_view name) {
+  out_.str(name);
+  const std::size_t slots = out_.size();
+  out_.u32(0);  // CRC-32 of the payload
+  out_.u32(0);  // payload length
+  return slots;
+}
+
+void SectionWriter::close(std::size_t slots) {
+  const std::size_t begin = slots + 8;
+  const std::span<const std::uint8_t> payload =
+      std::span(out_.data()).subspan(begin);
+  out_.patch_u32(slots, util::crc32(payload));
+  out_.patch_u32(slots + 4, static_cast<std::uint32_t>(payload.size()));
+  ++count_;
+}
+
+void SectionWriter::finish() { out_.patch_u32(count_slot_, count_); }
+
+std::size_t save_reserve(std::size_t previous) {
+  return previous + previous / 2 + 4096;
 }
 
 bool SectionReader::fail(std::string* error, std::string msg) {
@@ -291,6 +306,9 @@ struct VehicleRecord {
   /// claims the row it held before the checkpoint: grid handoffs inject
   /// foreign ids whose rows interleave chronologically with local spawns.
   std::uint32_t row{0};
+  /// The node's field list behind its byte length: a save encodes the live
+  /// node in place, a restore keeps the bytes until the node exists.
+  const protocol::VehicleNode* live{nullptr};
   Bytes node;
 
   template <class Ar, class Self> static void io(Ar& ar, Self& r) {
@@ -300,7 +318,7 @@ struct VehicleRecord {
     ar.i64(r.spawn_time);
     ar(r.profile);
     ar.u32(r.row);
-    ar.bytes(r.node);
+    ar.staged(r.live, r.node);
   }
 };
 constexpr std::size_t kMinVehicleRecord = 44;
@@ -315,12 +333,20 @@ template <class Ar, class M> void legacy_io(Ar& ar, M& legacy) {
 }  // namespace
 
 Bytes World::checkpoint_save() const {
+  ByteWriter out;
+  out.reserve(checkpoint::save_reserve(last_save_bytes_));
+  checkpoint_save(out);
+  last_save_bytes_ = out.size();
+  return out.take();
+}
+
+void World::checkpoint_save(ByteWriter& envelope) const {
   // Checkpoints are only valid at step boundaries: between run_until calls
   // the clock sits exactly at the last completed step and every pending
   // event belongs to a serializable owner (network delivery, IM timer).
   assert(clock_.now() == stepped_until_);
 
-  checkpoint::SectionWriter out;
+  checkpoint::SectionWriter out(envelope, checkpoint::kCheckpointSchema);
   out.add(kSectionConfig, [&](WriteArchive& ar) { ar(config_); });
   const checkpoint::TimeSection time{stepped_until_, queue_.next_seq(),
                                      gap_violations_, crossing_times_,
@@ -338,7 +364,7 @@ Bytes World::checkpoint_save() const {
                               v.traits(),        v.spawn_time(),
                               v.attack_profile(),
                               static_cast<std::uint32_t>(v.kin_row()),
-                              to_bytes(v)};
+                              &v,                {}};
       a(rec);
     });
   });
@@ -346,7 +372,7 @@ Bytes World::checkpoint_save() const {
   out.add(kSectionCrypto, [&](WriteArchive& ar) { ar(verify_cache_); });
   const util::telemetry::MetricsSnapshot telemetry = registry_.snapshot();
   out.add(kSectionTelemetry, [&](WriteArchive& ar) { ar(telemetry); });
-  return out.finish(checkpoint::kCheckpointSchema);
+  out.finish();
 }
 
 std::unique_ptr<World> World::checkpoint_restore(const Bytes& blob,
@@ -364,6 +390,7 @@ std::unique_ptr<World> World::checkpoint_restore(const Bytes& blob,
   auto world = std::unique_ptr<World>(
       new World(std::move(config), time.stepped_until));
   if (!world->apply_checkpoint(in, time, error)) return nullptr;
+  world->last_save_bytes_ = blob.size();
   return world;
 }
 

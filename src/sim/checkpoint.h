@@ -54,22 +54,39 @@ std::string run_summary_digest(const RunSummary& s);
 /// Writes the envelope World (`nwade-ckpt-v1`) and Grid
 /// (`nwade-grid-ckpt-v1`) share: the schema string, a u32 section count,
 /// then each section's name, the CRC-32 of its payload, and the
-/// length-prefixed payload.
+/// length-prefixed payload. Everything lands in one buffer in one pass:
+/// each payload is written in place after two u32 slots, which are patched
+/// with its CRC and length once it is complete.
 class SectionWriter {
  public:
+  /// Starts an envelope at the end of `out`, which must outlive the writer.
+  SectionWriter(ByteWriter& out, std::string_view schema);
   /// Appends a section holding what `fn(WriteArchive&)` writes.
-  template <class Fn> void add(std::string name, Fn fn) {
-    ByteWriter w;
-    WriteArchive ar(w);
+  template <class Fn> void add(std::string_view name, Fn fn) {
+    const std::size_t slots = open(name);
+    WriteArchive ar(out_);
     fn(ar);
-    add_bytes(std::move(name), w.take());
+    close(slots);
   }
-  void add_bytes(std::string name, Bytes payload);
-  Bytes finish(std::string_view schema) const;
+  /// Patches the section count; the envelope ends where `out` ends.
+  void finish();
 
  private:
-  std::vector<std::pair<std::string, Bytes>> sections_;
+  /// Writes the name and two empty slots; returns where the slots start.
+  std::size_t open(std::string_view name);
+  /// Fills the slots at `slots` in for the payload written since.
+  void close(std::size_t slots);
+
+  ByteWriter& out_;
+  std::size_t count_slot_;
+  std::uint32_t count_{0};
 };
+
+/// The buffer a save reserves when its source's previous save wrote
+/// `previous` bytes (0: none yet): that plus headroom, so a growing source
+/// does not regrow a large buffer by doubling. Pages reserved but never
+/// written cost no resident memory.
+std::size_t save_reserve(std::size_t previous);
 
 /// Reads that envelope back. Every CRC is checked before any state is
 /// applied; sections nobody asks for (a newer writer's) are skipped.

@@ -392,15 +392,21 @@ Bytes Grid::checkpoint_save() const {
   // is drained (World exit logs are deliberately not checkpointed).
   assert(now_ % config_.exchange_every_ms == 0);
 
-  checkpoint::SectionWriter out;
+  ByteWriter envelope;
+  envelope.reserve(checkpoint::save_reserve(last_save_bytes_));
+  checkpoint::SectionWriter out(envelope, kGridCheckpointSchema);
   out.add(kSectionGrid, [&](WriteArchive& ar) {
     ar(config_);
     state_io(ar, *this);
   });
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    out.add_bytes("shard." + std::to_string(i), shards_[i]->checkpoint_save());
+    // Each shard writes its own envelope straight into its section.
+    out.add("shard." + std::to_string(i),
+            [&](WriteArchive&) { shards_[i]->checkpoint_save(envelope); });
   }
-  return out.finish(kGridCheckpointSchema);
+  out.finish();
+  last_save_bytes_ = envelope.size();
+  return envelope.take();
 }
 
 std::unique_ptr<Grid> Grid::checkpoint_restore(const Bytes& blob,
@@ -447,6 +453,7 @@ std::unique_ptr<Grid> Grid::checkpoint_restore(const Bytes& blob,
   if (grid->now_ < 0 || grid->now_ % grid->config_.exchange_every_ms != 0) {
     return fail("grid checkpoint not at an exchange boundary");
   }
+  grid->last_save_bytes_ = blob.size();
   return grid;
 }
 

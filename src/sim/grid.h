@@ -210,6 +210,9 @@ class Grid {
   std::uint64_t retired_boundary_{0};
   std::uint64_t retired_hops_{0};
   std::uint64_t retired_revisit_{0};
+  /// Size of the last envelope (saved or restored from), which the next
+  /// checkpoint_save() reserves with headroom. A hint, not state.
+  mutable std::size_t last_save_bytes_{0};
 };
 
 }  // namespace nwade::sim

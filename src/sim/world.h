@@ -149,6 +149,8 @@ class World final : public protocol::SensorProvider {
   /// buffer is NOT included (traces are an observability export, not sim
   /// state; tracing never influences decisions).
   Bytes checkpoint_save() const;
+  /// Appends the same envelope to `out`; a Grid nests each shard's this way.
+  void checkpoint_save(ByteWriter& out) const;
   /// Reconstructs a world from a checkpoint and positions it exactly where
   /// the saved run stood: continuing with run_until/run is byte-identical to
   /// the uninterrupted run. Returns nullptr on malformed or corrupt input
@@ -315,6 +317,9 @@ class World final : public protocol::SensorProvider {
   /// hold handles into them, so destruction order stays safe. mutable:
   /// summary() is const but folds the protocol/crypto silos into gauges.
   mutable util::telemetry::Registry registry_;
+  /// Size of this world's last envelope (saved or restored from), which the
+  /// next checkpoint_save() reserves with headroom. A hint, not state.
+  mutable std::size_t last_save_bytes_{0};
   util::trace::Tracer tracer_;
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<crypto::Signer> signer_;

@@ -137,9 +137,24 @@ class Archive {
     } else {
       const std::size_t n = x.wire_size();
       s_.u32(static_cast<std::uint32_t>(n));
-      [[maybe_unused]] const std::size_t start = s_.data().size();
+      [[maybe_unused]] const std::size_t start = s_.size();
       (*this)(x);
-      assert(s_.data().size() - start == n && "wire_size() out of step with io");
+      assert(s_.size() - start == n && "wire_size() out of step with io");
+    }
+  }
+
+  /// A nested type behind a u32 byte length that a read keeps as raw bytes
+  /// in `raw`, for a parse the caller runs later. A save encodes `*x` in
+  /// place and patches the length in: the bytes `bytes(to_bytes(*x))`
+  /// writes, without the temporary buffer.
+  template <class T, class B> void staged(T* x, B& raw) {
+    if constexpr (Reading) {
+      raw = s_.bytes();
+    } else {
+      const std::size_t slot = s_.size();
+      s_.u32(0);
+      (*this)(*x);
+      s_.patch_u32(slot, static_cast<std::uint32_t>(s_.size() - slot - 4));
     }
   }
 

@@ -52,6 +52,17 @@ class ByteWriter {
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
 
+  /// Bytes written so far: the offset the next write lands at.
+  std::size_t size() const { return buf_.size(); }
+
+  /// Overwrites the four bytes at `at` (a slot an earlier u32 left) with `v`,
+  /// so a length or checksum can follow the payload it covers.
+  void patch_u32(std::size_t at, std::uint32_t v) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      buf_.at(at + i) = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+
   const Bytes& data() const { return buf_; }
   Bytes take() { return std::move(buf_); }
 

@@ -11,6 +11,7 @@ namespace nwade::util {
 
 /// CRC-32 of `data` (init 0xFFFFFFFF, final xor, reflected polynomial
 /// 0xEDB88320) — the same value `cksum`-style tools and zlib's crc32 report.
+/// Portable slice-by-16 tables: sixteen bytes per step, no intrinsics.
 std::uint32_t crc32(std::span<const std::uint8_t> data);
 
 }  // namespace nwade::util
