@@ -217,6 +217,12 @@ void ImNode::publish_block(std::vector<aim::TravelPlan> plans, bool count_timing
 }
 
 std::vector<aim::TravelPlan> ImNode::track_unmanaged(Tick now) {
+  // Its own span, outside process_window's: wall time is read only when
+  // tracing; `items` counts the observations matched to a route.
+  const bool tracing = ctx_.tracer != nullptr && ctx_.tracer->enabled();
+  std::chrono::steady_clock::time_point t0;
+  if (tracing) t0 = std::chrono::steady_clock::now();
+  std::int64_t matched = 0;
   std::vector<aim::TravelPlan> fresh;
   // Managed-plan occupancies computed at most once per refresh (dropped when
   // a replan changes the plan). The conflict test against every prediction
@@ -248,6 +254,7 @@ std::vector<aim::TravelPlan> ImNode::track_unmanaged(Tick now) {
       best_s = s_proj;
     }
     if (best_route < 0) continue;
+    ++matched;
 
     // A tracked vehicle parked short of the core is yielding (a degraded
     // vehicle waiting for the box to clear, a stalled legacy car at its stop
@@ -351,6 +358,10 @@ std::vector<aim::TravelPlan> ImNode::track_unmanaged(Tick now) {
     } else {
       ++it;
     }
+  }
+  if (tracing) {
+    ctx_.tracer->complete("aim", "track_unmanaged", now, now, elapsed_us(t0),
+                          "items", matched);
   }
   return fresh;
 }
