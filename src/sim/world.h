@@ -149,8 +149,9 @@ class World final : public protocol::SensorProvider {
   /// buffer is NOT included (traces are an observability export, not sim
   /// state; tracing never influences decisions).
   Bytes checkpoint_save() const;
-  /// Appends the same envelope to `out`; a Grid nests each shard's this way.
-  void checkpoint_save(ByteWriter& out) const;
+  /// Writes the same envelope at the end of `envelope`; a Grid nests each
+  /// shard's inside its own this way.
+  void checkpoint_save(ByteWriter& envelope) const;
   /// Reconstructs a world from a checkpoint and positions it exactly where
   /// the saved run stood: continuing with run_until/run is byte-identical to
   /// the uninterrupted run. Returns nullptr on malformed or corrupt input

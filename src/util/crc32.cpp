@@ -6,9 +6,9 @@
 namespace nwade::util {
 namespace {
 
-/// Slice-by-16 tables: kTables[0] is the byte-at-a-time table; kTables[k][b]
-/// is the CRC of byte b followed by k zero bytes, so sixteen lookups advance
-/// the CRC over sixteen input bytes at once.
+/// Slice-by-16 tables: kTables[0] is the byte-at-a-time table, and
+/// kTables[k][b] is kTables[0][b] advanced over k more zero bytes, so
+/// sixteen lookups advance the CRC over sixteen input bytes at once.
 using Tables = std::array<std::array<std::uint32_t, 256>, 16>;
 
 constexpr Tables make_tables() {

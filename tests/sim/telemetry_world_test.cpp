@@ -72,7 +72,9 @@ TEST(TelemetryWorld, TracedRunRecordsTheSpanTaxonomy) {
   EXPECT_TRUE(has_event(events, "sim", "phase.physics"));
   EXPECT_TRUE(has_event(events, "sim", "phase.watch"));
   EXPECT_TRUE(has_event(events, "sim", "phase.gap_audit"));
-  // aim/chain: scheduler batch windows, block packaging + verification.
+  // aim/chain: unmanaged tracking, scheduler batch windows, block
+  // packaging + verification.
+  EXPECT_TRUE(has_event(events, "aim", "track_unmanaged"));
   EXPECT_TRUE(has_event(events, "aim", "process_window"));
   EXPECT_TRUE(has_event(events, "chain", "package"));
   EXPECT_TRUE(has_event(events, "chain", "verify_block"));
