@@ -23,8 +23,6 @@
 
 #include <map>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "sim/world.h"
 #include "util/archive.h"
