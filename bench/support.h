@@ -82,9 +82,8 @@ inline std::string json_array(const std::vector<std::string>& items,
 // a misleading zero. Phases that report a derived ratio (e.g. before/after
 // speedup) carry a "speedup_x" field instead of the timing triple.
 // hardware_concurrency is
-// recorded so thread-scaling numbers (bench_world_step's step_threads sweep)
-// can be interpreted on the machine that produced them — a 1-core container
-// cannot show wall-clock speedup no matter how parallel the code is.
+// recorded so timings are read against the machine that produced them;
+// scripts/bench_diff.py treats deltas across different values as advisory.
 // Drivers may append extra top-level context (scenario shape, verdicts) via
 // bench_envelope's `extra_fields`.
 

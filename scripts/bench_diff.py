@@ -12,11 +12,8 @@ speedup phase shrinks by more than --speedup-threshold percent. Phases
 present on only one side are listed but never fail the diff (drivers grow
 phases across PRs) unless --strict is given.
 
-Guard rails baked into the envelope schema are honored: a comparison where
-either side carries `single_core_host: "true"` marks every thread-scaling
-verdict advisory (thread-scaling numbers from a 1-core host measure pool
-overhead, not speedup), and mismatched `hardware_concurrency` downgrades
-failures to warnings unless --strict forces them.
+Mismatched `hardware_concurrency` downgrades failures to warnings (the
+deltas are cross-hardware) unless --strict forces them.
 
 Stdlib only — no third-party imports.
 """
@@ -71,8 +68,6 @@ def main():
     hw_base = base.get("hardware_concurrency")
     hw_cand = cand.get("hardware_concurrency")
     comparable_hw = hw_base == hw_cand
-    single_core = (str(base.get("single_core_host", "")).lower() == "true" or
-                   str(cand.get("single_core_host", "")).lower() == "true")
 
     print(f"baseline:  {args.baseline} (sha {base.get('git_sha')}, "
           f"{hw_base} hw threads)")
@@ -82,9 +77,6 @@ def main():
         print("note: hardware_concurrency differs — timing deltas are "
               "cross-hardware and advisory" +
               (" (strict: still enforced)" if args.strict else ""))
-    if single_core:
-        print("note: at least one side was recorded on a 1-core host — "
-              "thread-scaling speedups are advisory")
 
     failures = []
     warnings = []
@@ -112,10 +104,7 @@ def main():
             delta = 100.0 * (c["speedup_x"] - b["speedup_x"]) / b["speedup_x"]
             verdict = "ok"
             if delta < -args.speedup_threshold:
-                if single_core and not args.strict:
-                    verdict = "shrunk (advisory: single-core host)"
-                    warnings.append(name)
-                elif comparable_hw or args.strict:
+                if comparable_hw or args.strict:
                     verdict = "REGRESSION"
                     failures.append(name)
                 else:

@@ -24,7 +24,8 @@
 #   scripts/check.sh alloc        # just the allocation gates
 #   scripts/check.sh asan tsan    # just those sanitizer trees
 #
-# Opt-in perf-regression stage (never part of the default sweep):
+# Opt-in perf-regression stage (never part of the default sweep; CI's
+# bench-diff job runs it on pull requests against the base branch's copies):
 #
 #   NWADE_BENCH_BASELINE_DIR=/path/to/baselines scripts/check.sh bench-diff
 #

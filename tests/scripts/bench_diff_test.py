@@ -5,8 +5,7 @@ of the toolchain image).
 Covers the comparison semantics the perf workflow leans on:
   * timing phases regressing beyond --threshold fail, within it pass;
   * speedup phases shrinking beyond --speedup-threshold fail on comparable
-    hardware, but downgrade to advisory when either envelope was recorded
-    with single_core_host=true (a thread-scaling row from a 1-core host);
+    hardware;
   * mismatched hardware_concurrency downgrades timing failures to warnings
     unless --strict re-arms them;
   * phases present on only one side are advisory unless --strict;
@@ -30,16 +29,13 @@ bench_diff = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_diff)
 
 
-def envelope(phases, hw=8, single_core=None):
-    env = {
+def envelope(phases, hw=8):
+    return {
         "schema": "nwade-bench-v1",
         "git_sha": "deadbeef",
         "hardware_concurrency": hw,
         "phases": phases,
     }
-    if single_core is not None:
-        env["single_core_host"] = "true" if single_core else "false"
-    return env
 
 
 class BenchDiffTest(unittest.TestCase):
@@ -82,20 +78,6 @@ class BenchDiffTest(unittest.TestCase):
         base = envelope([{"name": "scale", "speedup_x": 4.0}])
         cand = envelope([{"name": "scale", "speedup_x": 2.0}])
         self.assertEqual(self._run(base, cand, "--speedup-threshold", "10"), 1)
-
-    def test_speedup_shrink_advisory_on_single_core_host(self):
-        # The single_core_host guard rail: a 1-core envelope cannot show
-        # scaling, so a shrunk speedup is a note, not a failure.
-        base = envelope([{"name": "scale", "speedup_x": 4.0}])
-        cand = envelope([{"name": "scale", "speedup_x": 1.0}],
-                        single_core=True)
-        self.assertEqual(self._run(base, cand), 0)
-
-    def test_speedup_shrink_on_single_core_still_fails_in_strict(self):
-        base = envelope([{"name": "scale", "speedup_x": 4.0}])
-        cand = envelope([{"name": "scale", "speedup_x": 1.0}],
-                        single_core=True)
-        self.assertEqual(self._run(base, cand, "--strict"), 1)
 
     def test_cross_hardware_regression_is_advisory(self):
         base = envelope([{"name": "step", "median_ms": 100.0}], hw=4)
