@@ -20,6 +20,26 @@ bool streamable(const util::trace::Event& e) {
   return std::strcmp(e.cat, "nwade") == 0 || std::strcmp(e.cat, "im") == 0;
 }
 
+/// The liveness row of shard `shard` (at `row`, `col` of its lattice; a
+/// lone World is shard 0 at 0, 0) from its summary `s`.
+std::string health_frame(std::uint64_t seq, Tick t, int shard, int row, int col,
+                         const sim::World& w, const sim::RunSummary& s) {
+  return FrameBuilder("health", seq, t)
+      .field("shard", shard)
+      .field("row", row)
+      .field("col", col)
+      .field("active", s.active_at_end)
+      .field("spawned", s.metrics.vehicles_spawned)
+      .field("exited", s.metrics.vehicles_exited)
+      .field("blacklist",
+             static_cast<std::int64_t>(w.im().confirmed_suspects().size()))
+      .field("degraded", s.metrics.degraded_entries)
+      .field("im_crashes", s.metrics.im_crashes)
+      .field("im_restarts", s.metrics.im_restarts)
+      .field("gap_violations", s.min_ground_truth_gap_violations)
+      .take();
+}
+
 }  // namespace
 
 TelemetryStreamer::TelemetryStreamer(StreamerConfig cfg) : cfg_(cfg) {}
@@ -131,22 +151,7 @@ void TelemetryStreamer::emit_world_point(Tick t) {
   // summary() folds the protocol/crypto silos into registry gauges before
   // snapshotting, so the detection timeline is visible live in the deltas.
   const sim::RunSummary s = w.summary();
-  if (cfg_.emit_health) {
-    emit(FrameBuilder("health", seq_++, t)
-             .field("shard", 0)
-             .field("row", 0)
-             .field("col", 0)
-             .field("active", s.active_at_end)
-             .field("spawned", s.metrics.vehicles_spawned)
-             .field("exited", s.metrics.vehicles_exited)
-             .field("blacklist",
-                    static_cast<std::int64_t>(w.im().confirmed_suspects().size()))
-             .field("degraded", s.metrics.degraded_entries)
-             .field("im_crashes", s.metrics.im_crashes)
-             .field("im_restarts", s.metrics.im_restarts)
-             .field("gap_violations", s.min_ground_truth_gap_violations)
-             .take());
-  }
+  if (cfg_.emit_health) emit(health_frame(seq_++, t, 0, 0, 0, w, s));
   if (cfg_.emit_metrics) {
     util::telemetry::MetricsSnapshot snap = s.metrics_snapshot;
     const util::telemetry::MetricsSnapshot delta = snap.diff(prev_);
@@ -165,24 +170,10 @@ void TelemetryStreamer::emit_grid_point(Tick t) {
   const sim::GridSummary gs = g.summary();
   if (cfg_.emit_health) {
     for (int i = 0; i < g.shard_count(); ++i) {
-      const sim::RunSummary& s = gs.shards[static_cast<std::size_t>(i)];
       const int row = i / g.cols();
       const int col = i % g.cols();
-      emit(FrameBuilder("health", seq_++, t)
-               .field("shard", i)
-               .field("row", row)
-               .field("col", col)
-               .field("active", s.active_at_end)
-               .field("spawned", s.metrics.vehicles_spawned)
-               .field("exited", s.metrics.vehicles_exited)
-               .field("blacklist",
-                      static_cast<std::int64_t>(
-                          g.shard(row, col).im().confirmed_suspects().size()))
-               .field("degraded", s.metrics.degraded_entries)
-               .field("im_crashes", s.metrics.im_crashes)
-               .field("im_restarts", s.metrics.im_restarts)
-               .field("gap_violations", s.min_ground_truth_gap_violations)
-               .take());
+      emit(health_frame(seq_++, t, i, row, col, g.shard(row, col),
+                        gs.shards[static_cast<std::size_t>(i)]));
     }
     emit(FrameBuilder("status", seq_++, t)
              .field("handoffs_sent",
