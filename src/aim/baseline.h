@@ -12,20 +12,17 @@
 
 namespace nwade::aim {
 
-struct TrafficLightConfig {
-  Duration green_ms{12000};
-  /// All-red clearance between phases.
-  Duration clearance_ms{3000};
-  /// Minimum headway between two vehicles of the same leg entering the core.
-  Duration service_headway_ms{2200};
-  double min_cruise_mps{4.0};
-};
+/// Green window per leg.
+inline constexpr Duration kGreenMs = 12000;
+/// All-red clearance between phases.
+inline constexpr Duration kClearanceMs = 3000;
+/// Minimum headway between two vehicles of the same leg entering the core.
+inline constexpr Duration kServiceHeadwayMs = 2200;
 
 /// Signalized baseline: the same schedule() call as ReservationScheduler.
 class TrafficLightScheduler {
  public:
-  TrafficLightScheduler(const traffic::Intersection& intersection,
-                        TrafficLightConfig config = {});
+  explicit TrafficLightScheduler(const traffic::Intersection& intersection);
 
   TravelPlan schedule(VehicleId id, int route_id,
                       const traffic::VehicleTraits& traits, Tick now,
@@ -42,7 +39,6 @@ class TrafficLightScheduler {
   Tick next_green_at(int leg, Tick t) const;
 
   const traffic::Intersection& intersection_;
-  TrafficLightConfig config_;
   Duration cycle_ms_;
   std::map<int, Tick> last_entry_per_leg_;
 };

@@ -21,18 +21,15 @@ std::optional<std::pair<Tick, Tick>> padded_occupancy(const TravelPlan& plan,
 
 }  // namespace
 
-ReservationScheduler::ReservationScheduler(const traffic::Intersection& intersection,
-                                           SchedulerConfig config)
+ReservationScheduler::ReservationScheduler(const traffic::Intersection& intersection)
     : intersection_(intersection),
-      config_(config),
       zone_tables_(intersection.zones().size()),
       route_core_tables_(intersection.routes().size()),
       route_last_core_entry_(intersection.routes().size(), Tick{-1}) {}
 
 TravelPlan make_profile_plan(const traffic::Intersection& intersection, VehicleId id,
                              int route_id, const traffic::VehicleTraits& traits,
-                             Tick now, double s_start, Tick core_entry,
-                             double min_cruise_mps) {
+                             Tick now, double s_start, Tick core_entry) {
   const traffic::Route& route = intersection.route(route_id);
   const double limit = intersection.config().limits.speed_limit_mps;
   const double v_cross = 0.7 * limit;  // uniform core-crossing speed
@@ -70,9 +67,9 @@ TravelPlan make_profile_plan(const traffic::Intersection& intersection, VehicleI
   const double dt_s = ticks_to_seconds(core_entry - now);
   double v_app = d / dt_s;
   Tick t_go = now;
-  if (v_app < min_cruise_mps) {
+  if (v_app < kMinCruiseMps) {
     // Too slow to cruise the whole way: wait at the spawn point first.
-    v_app = min_cruise_mps;
+    v_app = kMinCruiseMps;
     t_go = core_entry - seconds_to_ticks(d / v_app);
     plan.segments.push_back(PlanSegment{now, s_start, 0.0});
   }
@@ -87,18 +84,6 @@ TravelPlan make_profile_plan(const traffic::Intersection& intersection, VehicleI
   return plan;
 }
 
-TravelPlan ReservationScheduler::build_plan(VehicleId id, int route_id,
-                                            const traffic::VehicleTraits& traits,
-                                            Tick now, double s_start,
-                                            Tick core_entry) const {
-  return make_profile_plan(intersection_, id, route_id, traits, now, s_start,
-                           core_entry, config_.min_cruise_mps);
-}
-
-bool ReservationScheduler::fits(const TravelPlan& plan, int route_id) const {
-  return next_candidate_after(plan, route_id, 0) == 0;
-}
-
 void ReservationScheduler::consider(const IntervalTable& table, Tick in, Tick out,
                                     Tick& shift) const {
   // The smallest core-entry shift clearing every blocking reservation in
@@ -107,20 +92,18 @@ void ReservationScheduler::consider(const IntervalTable& table, Tick in, Tick ou
   if (max_end) shift = std::max(shift, *max_end - in + 1);
 }
 
-Tick ReservationScheduler::next_candidate_after(const TravelPlan& plan, int route_id,
-                                                Tick /*from*/) const {
-  // Returns 0 when the plan fits, otherwise the smallest shift (in ms) of
-  // core_entry that clears every currently blocking reservation.
+Tick ReservationScheduler::blocking_shift(const TravelPlan& plan,
+                                          int route_id) const {
   const traffic::Route& route = intersection_.route(route_id);
   Tick shift = 0;
 
   if (const auto core =
-          padded_occupancy(plan, route.core_begin, route.core_end, config_.margin_ms)) {
+          padded_occupancy(plan, route.core_begin, route.core_end, kSchedulerMarginMs)) {
     consider(route_core_tables_[static_cast<std::size_t>(route_id)], core->first,
              core->second, shift);
   }
   for (const traffic::ZoneRef& ref : intersection_.zones_for(route_id)) {
-    const auto occ = padded_occupancy(plan, ref.begin, ref.end, config_.margin_ms);
+    const auto occ = padded_occupancy(plan, ref.begin, ref.end, kSchedulerMarginMs);
     if (!occ) continue;
     consider(zone_tables_[static_cast<std::size_t>(ref.zone_id)], occ->first,
              occ->second, shift);
@@ -131,19 +114,35 @@ Tick ReservationScheduler::next_candidate_after(const TravelPlan& plan, int rout
 void ReservationScheduler::commit(const TravelPlan& plan, int route_id) {
   const traffic::Route& route = intersection_.route(route_id);
   if (const auto core =
-          padded_occupancy(plan, route.core_begin, route.core_end, config_.margin_ms)) {
+          padded_occupancy(plan, route.core_begin, route.core_end, kSchedulerMarginMs)) {
     route_core_tables_[static_cast<std::size_t>(route_id)].insert(
         Interval{core->first, core->second, plan.vehicle});
   }
   for (const traffic::ZoneRef& ref : intersection_.zones_for(route_id)) {
     if (const auto occ =
-            padded_occupancy(plan, ref.begin, ref.end, config_.margin_ms)) {
+            padded_occupancy(plan, ref.begin, ref.end, kSchedulerMarginMs)) {
       zone_tables_[static_cast<std::size_t>(ref.zone_id)].insert(
           Interval{occ->first, occ->second, plan.vehicle});
     }
   }
   Tick& last_entry = route_last_core_entry_[static_cast<std::size_t>(route_id)];
   last_entry = std::max(last_entry, plan.core_entry);
+}
+
+TravelPlan ReservationScheduler::fit(VehicleId id, int route_id,
+                                     const traffic::VehicleTraits& traits, Tick now,
+                                     double s_start, Tick core_entry) {
+  TravelPlan plan =
+      make_profile_plan(intersection_, id, route_id, traits, now, s_start, core_entry);
+  for (int iter = 0; iter < kMaxPushIterations; ++iter) {
+    const Tick shift = blocking_shift(plan, route_id);
+    if (shift == 0) break;
+    core_entry += shift;
+    plan = make_profile_plan(intersection_, id, route_id, traits, now, s_start,
+                             core_entry);
+  }
+  commit(plan, route_id);
+  return plan;
 }
 
 TravelPlan ReservationScheduler::schedule(VehicleId id, int route_id,
@@ -159,16 +158,7 @@ TravelPlan ReservationScheduler::schedule(VehicleId id, int route_id,
       last >= 0) {
     core_entry = std::max(core_entry, last + 1);
   }
-
-  TravelPlan plan = build_plan(id, route_id, traits, now, 0.0, core_entry);
-  for (int iter = 0; iter < config_.max_push_iterations; ++iter) {
-    const Tick shift = next_candidate_after(plan, route_id, core_entry);
-    if (shift == 0) break;
-    core_entry += shift;
-    plan = build_plan(id, route_id, traits, now, 0.0, core_entry);
-  }
-  commit(plan, route_id);
-  return plan;
+  return fit(id, route_id, traits, now, 0.0, core_entry);
 }
 
 void ReservationScheduler::reserve_virtual(const TravelPlan& plan) {
@@ -187,20 +177,13 @@ TravelPlan ReservationScheduler::reschedule(VehicleId id, int route_id,
   const double limit = intersection_.config().limits.speed_limit_mps;
   if (s_start >= route.core_begin) {
     // Already in or past the core: physics is committed; keep going.
-    TravelPlan plan = build_plan(id, route_id, traits, now, s_start, now + 1);
+    TravelPlan plan =
+        make_profile_plan(intersection_, id, route_id, traits, now, s_start, now + 1);
     commit(plan, route_id);
     return plan;
   }
-  Tick core_entry = now + seconds_to_ticks((route.core_begin - s_start) / limit);
-  TravelPlan plan = build_plan(id, route_id, traits, now, s_start, core_entry);
-  for (int iter = 0; iter < config_.max_push_iterations; ++iter) {
-    const Tick shift = next_candidate_after(plan, route_id, core_entry);
-    if (shift == 0) break;
-    core_entry += shift;
-    plan = build_plan(id, route_id, traits, now, s_start, core_entry);
-  }
-  commit(plan, route_id);
-  return plan;
+  return fit(id, route_id, traits, now, s_start,
+             now + seconds_to_ticks((route.core_begin - s_start) / limit));
 }
 
 void ReservationScheduler::release_before(Tick t) {
@@ -270,27 +253,9 @@ std::vector<TravelPlan> ReservationScheduler::plan_recovery(
   std::sort(order.begin(), order.end(),
             [](const ActiveVehicle& a, const ActiveVehicle& b) { return a.s > b.s; });
 
-  const double limit = intersection_.config().limits.speed_limit_mps;
   std::vector<TravelPlan> plans;
   for (const ActiveVehicle& v : order) {
-    const traffic::Route& route = intersection_.route(v.route_id);
-    if (v.s >= route.core_begin) {
-      // In or past the core: cannot be delayed, commit as-is.
-      TravelPlan plan = build_plan(v.id, v.route_id, v.traits, now, v.s, now + 1);
-      commit(plan, v.route_id);
-      plans.push_back(std::move(plan));
-      continue;
-    }
-    Tick core_entry = now + seconds_to_ticks((route.core_begin - v.s) / limit);
-    TravelPlan plan = build_plan(v.id, v.route_id, v.traits, now, v.s, core_entry);
-    for (int iter = 0; iter < config_.max_push_iterations; ++iter) {
-      const Tick shift = next_candidate_after(plan, v.route_id, core_entry);
-      if (shift == 0) break;
-      core_entry += shift;
-      plan = build_plan(v.id, v.route_id, v.traits, now, v.s, core_entry);
-    }
-    commit(plan, v.route_id);
-    plans.push_back(std::move(plan));
+    plans.push_back(reschedule(v.id, v.route_id, v.traits, now, v.s));
   }
   return plans;
 }

@@ -24,14 +24,12 @@
 
 namespace nwade::aim {
 
-struct SchedulerConfig {
-  /// Protective time buffer applied to each zone/core occupancy (per side).
-  Duration margin_ms{900};
-  /// Slowest acceptable cruise speed; below this the vehicle waits at spawn.
-  double min_cruise_mps{4.0};
-  /// Give-up bound for the feasibility search (defensive; rarely hit).
-  int max_push_iterations{400};
-};
+/// Protective time buffer applied to each zone/core occupancy (per side).
+inline constexpr Duration kSchedulerMarginMs = 900;
+/// Slowest acceptable cruise speed; below this the vehicle waits at spawn.
+inline constexpr double kMinCruiseMps = 4.0;
+/// Give-up bound for the feasibility search (defensive; rarely hit).
+inline constexpr int kMaxPushIterations = 400;
 
 /// Snapshot of a vehicle mid-crossing, used for evacuation replanning.
 struct ActiveVehicle {
@@ -51,17 +49,16 @@ struct ThreatInfo {
 
 /// Builds the standard plan profile: optional wait at s_start, cruise timed
 /// to reach the core at `core_entry`, cross at a uniform core speed, then the
-/// speed limit on the exit leg. Shared by both schedulers.
+/// speed limit on the exit leg; a cruise slower than kMinCruiseMps waits
+/// at s_start instead. Shared by both schedulers.
 TravelPlan make_profile_plan(const traffic::Intersection& intersection, VehicleId id,
                              int route_id, const traffic::VehicleTraits& traits,
-                             Tick now, double s_start, Tick core_entry,
-                             double min_cruise_mps);
+                             Tick now, double s_start, Tick core_entry);
 
 /// The reservation scheduler (the "AIM optimizer" substrate).
 class ReservationScheduler {
  public:
-  ReservationScheduler(const traffic::Intersection& intersection,
-                       SchedulerConfig config = {});
+  explicit ReservationScheduler(const traffic::Intersection& intersection);
 
   /// Produces a plan for a vehicle whose spawn (communication-zone entry)
   /// happened at `now` with the given initial speed.
@@ -85,8 +82,9 @@ class ReservationScheduler {
 
   /// Replaces one vehicle's plan from its current position, fitting around
   /// all existing reservations (its own previous claims included, which is
-  /// conservative). Used when a newly appeared legacy vehicle invalidates an
-  /// already-issued plan.
+  /// conservative); a vehicle in or past the core is committed as is. Used
+  /// when a newly appeared legacy vehicle invalidates an already-issued
+  /// plan, and by plan_recovery for each survivor.
   TravelPlan reschedule(VehicleId id, int route_id,
                         const traffic::VehicleTraits& traits, Tick now,
                         double s_start);
@@ -117,20 +115,19 @@ class ReservationScheduler {
  private:
   using Interval = IntervalTable::Interval;
 
-  TravelPlan build_plan(VehicleId id, int route_id,
-                        const traffic::VehicleTraits& traits, Tick now, double s_start,
-                        Tick core_entry) const;
-  bool fits(const TravelPlan& plan, int route_id) const;
   void commit(const TravelPlan& plan, int route_id);
-  /// Earliest tick >= `from` at which the plan's claims could fit, given the
-  /// blocking reservation discovered; kTickMax if none found.
-  Tick next_candidate_after(const TravelPlan& plan, int route_id, Tick from) const;
+  /// The profile plan from `s_start`, its core entry pushed from
+  /// `core_entry` past every blocking reservation, committed.
+  TravelPlan fit(VehicleId id, int route_id, const traffic::VehicleTraits& traits,
+                 Tick now, double s_start, Tick core_entry);
+  /// 0 when the plan fits, otherwise the smallest shift (ms) of its core
+  /// entry that clears every currently blocking reservation.
+  Tick blocking_shift(const TravelPlan& plan, int route_id) const;
   /// Latest blocking end in `table` for [in, out); folds the induced
   /// core-entry push into `shift`.
   void consider(const IntervalTable& table, Tick in, Tick out, Tick& shift) const;
 
   const traffic::Intersection& intersection_;
-  SchedulerConfig config_;
   std::vector<IntervalTable> zone_tables_;        ///< indexed by zone id
   std::vector<IntervalTable> route_core_tables_;  ///< indexed by route id
   /// Latest committed core-entry per route (-1 = no commits yet). New spawns

@@ -5,25 +5,71 @@
 #include <string>
 #include <vector>
 
+#include "aim/scheduler.h"
 #include "util/types.h"
 
 namespace nwade::protocol {
 
-/// Protocol parameters. Defaults follow the paper's experimental settings.
+// --- fixed protocol parameters (paper Section VI-A) --------------------------
+// A checkpoint keeps each in its old config slot (docs/CHECKPOINT.md §1).
+
+/// Processing window delta: the IM batches plan requests at this cadence.
+inline constexpr Duration kProcessingWindowMs = 1000;
+/// Vehicle sensing radius (paper default 1000 ft).
+inline constexpr double kSensingRadiusM = feet_to_meters(1000.0);
+/// Positional deviation (metres) beyond which a watcher reports a vehicle.
+inline constexpr double kDeviationToleranceM = 6.0;
+/// How long a reporter waits for the IM before assuming it is compromised.
+inline constexpr Duration kImResponseTimeoutMs = 2500;
+/// How long the IM collects VerifyResponses before tallying the vote.
+inline constexpr Duration kVerificationRoundMs = 500;
+/// Margin used when vehicles check plans in blocks for conflicts.
+inline constexpr Duration kPlanCheckMarginMs = 500;
+static_assert(kPlanCheckMarginMs <= aim::kSchedulerMarginMs,
+              "a plan-check margin above the scheduler's would make honest "
+              "plans look conflicting");
+/// Deviation measured against a plan issued less than this long ago is
+/// delivery noise, not attack evidence: the block carrying the plan may
+/// still be in flight — or lost and awaiting retransmission/gap recovery —
+/// so the vehicle cannot yet be following it. Watchers skip such plans and
+/// the IM dismisses reports against them. Sized to cover one processing
+/// window plus a block re-request round trip.
+inline constexpr Duration kPlanGraceMs = 1500;
+/// Threat radius used for evacuation planning.
+inline constexpr double kThreatRadiusM = 25.0;
+/// How often vehicles run the neighbourhood-watch scan.
+inline constexpr Duration kWatchIntervalMs = 200;
+
+// --- protocol robustness under channel faults (docs/FAULT_MODEL.md) ---------
+/// Plan-request retransmission: the first retry fires two processing
+/// windows after spawn, then the interval doubles per attempt from
+/// `kPlanRequestBackoffMs` up to `kPlanRequestBackoffCapMs`.
+inline constexpr Duration kPlanRequestBackoffMs = 1000;
+inline constexpr Duration kPlanRequestBackoffCapMs = 8000;
+/// After this many unanswered retransmissions the vehicle gives up on the
+/// IM and enters degraded mode: it stops before the conflict zone and
+/// crosses only when its own sensors show the box clear. An unreachable IM
+/// thus degrades throughput, never safety.
+inline constexpr int kPlanRequestMaxRetries = 5;
+/// Degraded-mode speeds: cautious approach toward the stop line, and the
+/// sensor-gated crossing speed (>= 2 m/s so a live IM's perception tracks
+/// the crossing vehicle as unmanaged traffic and schedules around it).
+inline constexpr double kDegradedApproachSpeedMps = 6.0;
+inline constexpr double kDegradedCrossSpeedMps = 8.0;
+/// Safety margin added to the degraded box-clear test: every sensed vehicle
+/// must be at least this much further from the conflict area (in time at
+/// its current speed) than our own projected time to clear it.
+inline constexpr Duration kDegradedClearMarginMs = 2000;
+/// Gap recovery: at most this many missing blocks are re-requested per
+/// detected block-sequence gap (the rest is abandoned to the resync).
+inline constexpr int kGapRequestLimit = 4;
+
+/// The protocol parameters a run may vary (the ablations and examples do).
+/// Defaults follow the paper's experimental settings.
 struct NwadeConfig {
-  /// Processing window delta: the IM batches plan requests at this cadence.
-  Duration processing_window_ms{1000};
-  /// Vehicle sensing radius (paper default 1000 ft).
-  double sensing_radius_m{feet_to_meters(1000.0)};
   /// IM perception radius for direct report verification (paper: same LiDAR
   /// class as vehicles, default 1000 ft).
   double im_perception_radius_m{feet_to_meters(1000.0)};
-  /// Positional deviation (metres) beyond which a watcher reports a vehicle.
-  double deviation_tolerance_m{6.0};
-  /// How long a reporter waits for the IM before assuming it is compromised.
-  Duration im_response_timeout_ms{2500};
-  /// How long the IM collects VerifyResponses before tallying the vote.
-  Duration verification_round_ms{500};
   /// Second-group re-verification (Section IV-B2): after a first majority
   /// says "abnormal", ask a disjoint group to double-check. Defeats
   /// majority-vote gaming by colluding vehicles; the ablation benches turn
@@ -34,47 +80,9 @@ struct NwadeConfig {
   int global_report_threshold{3};
   /// Vehicle-side chain cache depth (tau/delta bound).
   std::size_t chain_depth{64};
-  /// Margin used when vehicles check plans in blocks for conflicts. Must not
-  /// exceed the scheduler margin or honest plans would look conflicting.
-  Duration plan_check_margin_ms{500};
-  /// Deviation measured against a plan issued less than this long ago is
-  /// delivery noise, not attack evidence: the block carrying the plan may
-  /// still be in flight — or lost and awaiting retransmission/gap recovery —
-  /// so the vehicle cannot yet be following it. Watchers skip such plans and
-  /// the IM dismisses reports against them. Sized to cover one processing
-  /// window plus a block re-request round trip.
-  Duration plan_grace_ms{1500};
-  /// Threat radius used for evacuation planning.
-  double threat_radius_m{25.0};
-  /// How often vehicles run the neighbourhood-watch scan.
-  Duration watch_interval_ms{200};
   /// false = the NWADE layer is off (plain AIM): vehicles adopt plans
   /// without verification and do not watch. Used for overhead comparisons.
   bool security_enabled{true};
-
-  // --- protocol robustness under channel faults (docs/FAULT_MODEL.md) -------
-  /// Plan-request retransmission: the first retry fires two processing
-  /// windows after spawn, then the interval doubles per attempt from
-  /// `plan_request_backoff_ms` up to `plan_request_backoff_cap_ms`.
-  Duration plan_request_backoff_ms{1000};
-  Duration plan_request_backoff_cap_ms{8000};
-  /// After this many unanswered retransmissions the vehicle gives up on the
-  /// IM and enters degraded mode: it stops before the conflict zone and
-  /// crosses only when its own sensors show the box clear. An unreachable IM
-  /// thus degrades throughput, never safety.
-  int plan_request_max_retries{5};
-  /// Degraded-mode speeds: cautious approach toward the stop line, and the
-  /// sensor-gated crossing speed (>= 2 m/s so a live IM's perception tracks
-  /// the crossing vehicle as unmanaged traffic and schedules around it).
-  double degraded_approach_speed_mps{6.0};
-  double degraded_cross_speed_mps{8.0};
-  /// Safety margin added to the degraded box-clear test: every sensed vehicle
-  /// must be at least this much further from the conflict area (in time at
-  /// its current speed) than our own projected time to clear it.
-  Duration degraded_clear_margin_ms{2000};
-  /// Gap recovery: at most this many missing blocks are re-requested per
-  /// detected block-sequence gap (the rest is abandoned to the resync).
-  int gap_request_limit{4};
 };
 
 /// One row of Table I. `plan_violations` malicious vehicles physically break

@@ -33,9 +33,8 @@ const char* im_state_name(ImState s) {
   return "?";
 }
 
-ImNode::ImNode(ImContext ctx, aim::SchedulerConfig scheduler_config,
-               ImAttackProfile attack)
-    : ctx_(ctx), scheduler_(*ctx.intersection, scheduler_config), attack_(attack) {
+ImNode::ImNode(ImContext ctx, ImAttackProfile attack)
+    : ctx_(ctx), scheduler_(*ctx.intersection), attack_(attack) {
   assert(ctx_.intersection && ctx_.config && ctx_.network && ctx_.clock &&
          ctx_.queue && ctx_.sensors && ctx_.signer && ctx_.metrics &&
          ctx_.malicious_ids);
@@ -60,7 +59,7 @@ void ImNode::trace_round_end(const VerificationRound& round, Tick now) const {
 }
 
 void ImNode::start() {
-  const Duration delta = ctx_.config->processing_window_ms;
+  const Duration delta = kProcessingWindowMs;
   const Tick when = ctx_.clock->now() + delta;
   const std::uint64_t seq = ctx_.queue->schedule_at(when, [this] {
     process_window();
@@ -402,7 +401,7 @@ bool ImNode::try_inject_conflict(std::vector<aim::TravelPlan>& plans, Tick now) 
         }
         candidate = aim::make_profile_plan(*ctx_.intersection, candidate.vehicle,
                                            candidate.route_id, candidate.traits, now,
-                                           0.0, victim.core_entry, 4.0);
+                                           0.0, victim.core_entry);
         NWADE_LOG(kInfo) << "malicious IM: plan for vehicle "
                          << candidate.vehicle.value << " warped onto vehicle "
                          << vid.value;
@@ -525,7 +524,7 @@ void ImNode::handle_incident_report(const IncidentReport& report, Tick now) {
       // cascade: vehicles mid-maneuver (or stranded on pre-evacuation plans)
       // get reported, confirmed, and evacuate yet more vehicles.
       if (plan_it->second.evacuation ||
-          now - plan_it->second.issued_at < ctx_.config->plan_grace_ms ||
+          now - plan_it->second.issued_at < kPlanGraceMs ||
           obs->status.speed_mps < 0.5) {
         dismiss_alarm(suspect, {report.reporter}, now);
         return;
@@ -537,7 +536,7 @@ void ImNode::handle_incident_report(const IncidentReport& report, Tick now) {
       // Hysteresis: an independent report corroborated by the IM's own
       // sensors near the threshold is enough to confirm; this avoids losing
       // borderline reports to the 30 ms the evidence aged in flight.
-      if (dev > 0.8 * ctx_.config->deviation_tolerance_m) {
+      if (dev > 0.8 * kDeviationToleranceM) {
         confirm_threat(suspect, now);
       } else {
         dismiss_alarm(suspect, {report.reporter}, now);
@@ -574,7 +573,7 @@ void ImNode::start_verification(VehicleId suspect, VehicleId reporter, Tick now)
     return;
   }
   {
-    const Tick when = now + ctx_.config->verification_round_ms;
+    const Tick when = now + kVerificationRoundMs;
     const std::uint64_t seq =
         ctx_.queue->schedule_at(when, [this, id] { tally_round(id); });
     pending_tallies_[id] = PendingEvent{seq, when};
@@ -592,7 +591,7 @@ int ImNode::ask_group(VerificationRound& round, Tick now) {
     const auto& route = ctx_.intersection->route(it->second.route_id);
     center = route.path.point_at(it->second.s_at(ctx_.clock->now()));
   }
-  ctx_.sensors->sense_around_into(center, ctx_.config->sensing_radius_m,
+  ctx_.sensors->sense_around_into(center, kSensingRadiusM,
                                   round.suspect, sense_buf_);
   auto& candidates = sense_buf_;
   std::sort(candidates.begin(), candidates.end(),
@@ -664,7 +663,7 @@ void ImNode::tally_round(std::uint64_t round_id) {
     }
     ctx_.metrics->verify_rounds++;
     const std::uint64_t id = round.id;
-    const Tick when = now + ctx_.config->verification_round_ms;
+    const Tick when = now + kVerificationRoundMs;
     const std::uint64_t seq =
         ctx_.queue->schedule_at(when, [this, id] { tally_round(id); });
     pending_tallies_[id] = PendingEvent{seq, when};
@@ -776,7 +775,7 @@ void ImNode::confirm_threat(VehicleId suspect, Tick now) {
 
   aim::ThreatInfo threat;
   threat.position = threat_pos;
-  threat.radius_m = ctx_.config->threat_radius_m;
+  threat.radius_m = kThreatRadiusM;
   threat.suspect = suspect;
   auto plans = scheduler_.plan_evacuation(active_vehicles(now, suspect), threat, now);
   for (const aim::TravelPlan& p : plans) active_plans_[p.vehicle] = p;

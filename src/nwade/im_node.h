@@ -81,8 +81,7 @@ struct ImContext {
 
 class ImNode final : public net::Node {
  public:
-  ImNode(ImContext ctx, aim::SchedulerConfig scheduler_config = {},
-         ImAttackProfile attack = {});
+  explicit ImNode(ImContext ctx, ImAttackProfile attack = {});
 
   // --- net::Node ----------------------------------------------------------
   NodeId node_id() const override { return kImNodeId; }

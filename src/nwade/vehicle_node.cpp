@@ -86,7 +86,7 @@ void VehicleNode::start() {
   send_plan_request();
   // The first retransmission fires once the IM had a full processing window
   // plus dissemination time to answer; later retries back off exponentially.
-  next_plan_request_at_ = spawn_time_ + 2 * ctx_.config->processing_window_ms;
+  next_plan_request_at_ = spawn_time_ + 2 * kProcessingWindowMs;
   set_state(VehicleState::kPreparation);
 }
 
@@ -100,27 +100,27 @@ void VehicleNode::send_plan_request() {
 }
 
 void VehicleNode::retry_plan_request(Tick now) {
-  if (plan_retries_ >= ctx_.config->plan_request_max_retries) {
+  if (plan_retries_ >= kPlanRequestMaxRetries) {
     // Degraded mode is for an IM that looks dead from here. If block
     // broadcasts are still reaching us, the IM is alive but withholding
     // issuance (e.g. a courtesy gap draining the junction) — keep polling at
     // the capped rate instead of falling back to sensors.
     const bool chain_alive =
         last_block_seen_at_ > 0 &&
-        now - last_block_seen_at_ <= ctx_.config->plan_request_backoff_cap_ms;
+        now - last_block_seen_at_ <= kPlanRequestBackoffCapMs;
     if (state_ == VehicleState::kPreparation && !chain_alive) enter_degraded(now);
     // Already degraded at the spawn point: keep polling at the capped rate in
     // case the IM comes back before we commit to crossing on sensors alone.
     send_plan_request();
-    next_plan_request_at_ = now + ctx_.config->plan_request_backoff_cap_ms;
+    next_plan_request_at_ = now + kPlanRequestBackoffCapMs;
     return;
   }
   ++plan_retries_;
   ctx_.metrics->plan_request_retries++;
   send_plan_request();
-  Duration backoff = ctx_.config->plan_request_backoff_ms;
+  Duration backoff = kPlanRequestBackoffMs;
   for (int i = 1; i < plan_retries_; ++i) backoff *= 2;
-  backoff = std::min(backoff, ctx_.config->plan_request_backoff_cap_ms);
+  backoff = std::min(backoff, kPlanRequestBackoffCapMs);
   next_plan_request_at_ = now + backoff;
 }
 
@@ -205,7 +205,7 @@ void VehicleNode::step(Tick now, Duration dt_ms) {
       ++awaiting_retries_;
       if (const auto obs = ctx_.sensors->observe(awaiting_suspect_)) {
         const auto dev = deviation_of(*obs, now);
-        if (dev && *dev > ctx_.config->deviation_tolerance_m) {
+        if (dev && *dev > kDeviationToleranceM) {
           reported_suspects_.erase(awaiting_suspect_);
           report_incident(*obs, *dev, now);
         } else {
@@ -289,8 +289,8 @@ bool VehicleNode::degraded_box_clear(Tick now) const {
   // the creep speed, plus the configured safety margin.
   const double cross_dist = std::max(route.core_end - s_, 0.0) + 5.0;
   const double time_to_clear_s =
-      cross_dist / std::max(ctx_.config->degraded_cross_speed_mps, 0.5) +
-      static_cast<double>(ctx_.config->degraded_clear_margin_ms) / 1000.0;
+      cross_dist / std::max(kDegradedCrossSpeedMps, 0.5) +
+      static_cast<double>(kDegradedClearMarginMs) / 1000.0;
 
   // Sample the conflict-relevant span of our route; any other vehicle that
   // could reach it before we clear it keeps the box "occupied".
@@ -302,7 +302,7 @@ bool VehicleNode::degraded_box_clear(Tick now) const {
 
   const double limit_mps = ctx_.intersection->config().limits.speed_limit_mps;
   const auto observations =
-      ctx_.sensors->sense_around(position(), ctx_.config->sensing_radius_m, id_);
+      ctx_.sensors->sense_around(position(), kSensingRadiusM, id_);
   for (const Observation& obs : observations) {
     double dist_to_box = std::numeric_limits<double>::max();
     geom::Vec2 nearest{};
@@ -346,7 +346,7 @@ void VehicleNode::step_degraded(Tick now, double dt, const traffic::Route& route
       lateral_offset_ = std::min(lateral_offset_ + 1.2 * dt, 0.0);
     }
     const double target = s_ < route.core_end
-                              ? ctx_.config->degraded_cross_speed_mps
+                              ? kDegradedCrossSpeedMps
                               : limits.speed_limit_mps;
     if (v_ < target) {
       v_ = std::min(v_ + limits.max_accel_mps2 * dt, target);
@@ -372,7 +372,7 @@ void VehicleNode::step_degraded(Tick now, double dt, const traffic::Route& route
   } else {
     // Cautious approach toward the stop line.
     v_ = std::min(v_ + limits.max_accel_mps2 * dt,
-                  ctx_.config->degraded_approach_speed_mps);
+                  kDegradedApproachSpeedMps);
   }
   s_ += v_ * dt;
 }
@@ -398,7 +398,7 @@ bool VehicleNode::watch_due(Tick now) const {
 
 void VehicleNode::watch_scan(Tick now, WatchScratch& w) const {
   w.actions.clear();
-  ctx_.sensors->sense_around_into(position(), ctx_.config->sensing_radius_m, id_,
+  ctx_.sensors->sense_around_into(position(), kSensingRadiusM, id_,
                                   w.observations);
   if (attack_.role != VehicleRole::kBenign) return;  // liars don't report truth
 
@@ -426,11 +426,11 @@ void VehicleNode::watch_scan(Tick now, WatchScratch& w) const {
     // block may still be in flight — or lost and awaiting gap recovery — so
     // the neighbour cannot be expected to follow it yet.
     if (p->unmanaged || p->evacuation ||
-        now - p->issued_at < ctx_.config->plan_grace_ms) {
+        now - p->issued_at < kPlanGraceMs) {
       continue;
     }
     const double dev = deviation_from(*p, obs, now);
-    if (dev <= ctx_.config->deviation_tolerance_m) continue;
+    if (dev <= kDeviationToleranceM) continue;
     // A stationary vehicle on the shoulder (well off its lane centreline) has
     // pulled over — self-evacuated or broken down — and is no threat. A
     // stationary vehicle still in the staging area at the communication-zone
@@ -461,7 +461,7 @@ void VehicleNode::watch_emit(Tick now, const WatchScratch& w) {
     for (const Observation& obs : observations) {
       if (obs.id != *sham_check_suspect_) continue;
       const auto dev = deviation_of(obs, now);
-      if (dev && *dev < 0.5 * ctx_.config->deviation_tolerance_m) {
+      if (dev && *dev < 0.5 * kDeviationToleranceM) {
         // The "threat" behaves exactly per plan: the alert was a sham.
         auto report = std::make_shared<GlobalReport>();
         report->reporter = id_;
@@ -561,7 +561,7 @@ void VehicleNode::report_incident(const Observation& obs, double deviation,
   if (state_ != VehicleState::kSelfEvacuation) {
     if (awaiting_suspect_ != obs.id) awaiting_retries_ = 0;
     awaiting_suspect_ = obs.id;
-    awaiting_deadline_ = now + ctx_.config->im_response_timeout_ms;
+    awaiting_deadline_ = now + kImResponseTimeoutMs;
     set_state(VehicleState::kAwaitingResponse);
   }
 }
@@ -610,7 +610,7 @@ bool VehicleNode::verify_block(const chain::BlockPtr& block, Tick now,
         // block. Peers answer by-seq BlockRequests too, so gap recovery also
         // works while the IM is dark (handle_block_request).
         const auto missing = store_.missing_before(
-            block->seq, static_cast<std::size_t>(ctx_.config->gap_request_limit));
+            block->seq, static_cast<std::size_t>(kGapRequestLimit));
         for (chain::BlockSeq seq : missing) {
           auto req = std::make_shared<BlockRequest>();
           req->requester = id_;
@@ -658,7 +658,7 @@ bool VehicleNode::verify_block(const chain::BlockPtr& block, Tick now,
   });
   const auto conflicts =
       aim::find_plan_conflicts(*ctx_.intersection, plans,
-                               ctx_.config->plan_check_margin_ms);
+                               kPlanCheckMarginMs);
   if (!conflicts.empty()) {
     *why = "conflicting_plans";
     return false;
@@ -785,7 +785,7 @@ void VehicleNode::handle_block_response(const BlockResponse& resp, Tick now) {
       plans.push_back(&p);
     }
     const auto conflicts = aim::find_plan_conflicts(
-        *ctx_.intersection, plans, ctx_.config->plan_check_margin_ms);
+        *ctx_.intersection, plans, kPlanCheckMarginMs);
     if (!conflicts.empty()) {
       if (!ctx_.metrics->im_conflict_detected) ctx_.metrics->im_conflict_detected = now;
       enter_self_evacuation(GlobalReason::kConflictingPlans, VehicleId{}, now);
@@ -840,9 +840,9 @@ void VehicleNode::handle_verify_request(const VerifyRequest& req, Tick now) {
   } else {
     const auto obs = ctx_.sensors->observe(req.suspect);
     if (obs && obs->status.position.distance_to(position()) <=
-                   ctx_.config->sensing_radius_m) {
+                   kSensingRadiusM) {
       const auto dev = deviation_of(*obs, now);
-      resp->abnormal = dev.has_value() && *dev > ctx_.config->deviation_tolerance_m;
+      resp->abnormal = dev.has_value() && *dev > kDeviationToleranceM;
       resp->evidence.suspect = req.suspect;
       resp->evidence.observed = obs->status;
       resp->evidence.observed_at = now;
@@ -941,7 +941,7 @@ void VehicleNode::handle_global_report(const GlobalReport& report, Tick now) {
       const auto obs = ctx_.sensors->observe(suspect);
       const bool nearby =
           obs && obs->status.position.distance_to(position()) <=
-                     ctx_.config->sensing_radius_m;
+                     kSensingRadiusM;
       if (nearby) {
         // Algorithm 3 (ii): verify locally instead of counting votes.
         const auto dev = deviation_of(*obs, now);
@@ -949,10 +949,10 @@ void VehicleNode::handle_global_report(const GlobalReport& report, Tick now) {
         const bool recently_reported =
             rep_it != reported_suspects_.end() &&
             now - rep_it->second < kReportCooldownMs;
-        if (dev && *dev > ctx_.config->deviation_tolerance_m && !recently_reported &&
+        if (dev && *dev > kDeviationToleranceM && !recently_reported &&
             attack_.role == VehicleRole::kBenign) {
           report_incident(*obs, *dev, now);
-        } else if (dev && *dev <= ctx_.config->deviation_tolerance_m &&
+        } else if (dev && *dev <= kDeviationToleranceM &&
                    attack_.role == VehicleRole::kBenign &&
                    ctx_.malicious_ids->contains(report.reporter) &&
                    !ctx_.metrics->false_incident_dismissed) {

@@ -34,32 +34,34 @@ void ScenarioConfig::io(Ar& ar, Self& c) {
   ar.i64(c.step_ms);
   ar.u64(c.seed);
 
+  // Slots of settings since fixed in code (nwade/config.h, aim/scheduler.h)
+  // hold their constants, so every envelope keeps its bytes under v1.
   auto& n = c.nwade;
-  ar.i64(n.processing_window_ms);
-  ar.f64(n.sensing_radius_m);
+  ar.pinned(protocol::kProcessingWindowMs);
+  ar.pinned(protocol::kSensingRadiusM);
   ar.f64(n.im_perception_radius_m);
-  ar.f64(n.deviation_tolerance_m);
-  ar.i64(n.im_response_timeout_ms);
-  ar.i64(n.verification_round_ms);
+  ar.pinned(protocol::kDeviationToleranceM);
+  ar.pinned(protocol::kImResponseTimeoutMs);
+  ar.pinned(protocol::kVerificationRoundMs);
   ar.flag(n.double_check_verification);
   ar.i64(n.global_report_threshold);
   ar.u64(n.chain_depth);
-  ar.i64(n.plan_check_margin_ms);
-  ar.i64(n.plan_grace_ms);
-  ar.f64(n.threat_radius_m);
-  ar.i64(n.watch_interval_ms);
+  ar.pinned(protocol::kPlanCheckMarginMs);
+  ar.pinned(protocol::kPlanGraceMs);
+  ar.pinned(protocol::kThreatRadiusM);
+  ar.pinned(protocol::kWatchIntervalMs);
   ar.flag(n.security_enabled);
-  ar.i64(n.plan_request_backoff_ms);
-  ar.i64(n.plan_request_backoff_cap_ms);
-  ar.i64(n.plan_request_max_retries);
-  ar.f64(n.degraded_approach_speed_mps);
-  ar.f64(n.degraded_cross_speed_mps);
-  ar.i64(n.degraded_clear_margin_ms);
-  ar.i64(n.gap_request_limit);
+  ar.pinned(protocol::kPlanRequestBackoffMs);
+  ar.pinned(protocol::kPlanRequestBackoffCapMs);
+  ar.pinned(protocol::kPlanRequestMaxRetries);
+  ar.pinned(protocol::kDegradedApproachSpeedMps);
+  ar.pinned(protocol::kDegradedCrossSpeedMps);
+  ar.pinned(protocol::kDegradedClearMarginMs);
+  ar.pinned(protocol::kGapRequestLimit);
 
-  ar.i64(c.scheduler.margin_ms);
-  ar.f64(c.scheduler.min_cruise_mps);
-  ar.i64(c.scheduler.max_push_iterations);
+  ar.pinned(aim::kSchedulerMarginMs);
+  ar.pinned(aim::kMinCruiseMps);
+  ar.pinned(aim::kMaxPushIterations);
   // Reserved byte, always 0 (one of three; the network and scenario blocks
   // hold the others). Each once carried a flag selecting a brute-force
   // reference stepping path, since removed; keeping the slots keeps every
@@ -201,7 +203,7 @@ bool SectionReader::fail(std::string* error, std::string msg) {
   return false;
 }
 
-bool SectionReader::parse(const Bytes& blob, std::string_view schema,
+bool SectionReader::parse(View blob, std::string_view schema,
                           std::size_t max_sections, std::string* error) {
   ByteReader r(blob);
   if (r.str() != schema) {
@@ -214,18 +216,18 @@ bool SectionReader::parse(const Bytes& blob, std::string_view schema,
   for (std::uint32_t i = 0; i < n_sections; ++i) {
     std::string name = r.str();
     const std::uint32_t crc = r.u32();
-    Bytes payload = r.bytes();
+    const View payload = r.view(r.u32());
     if (!r.ok()) return fail(error, "truncated section '" + name + "'");
     if (util::crc32(payload) != crc) {
       return fail(error, "CRC mismatch in section '" + name + "'");
     }
-    sections_[std::move(name)] = std::move(payload);
+    sections_[std::move(name)] = payload;
   }
   if (!r.at_end()) return fail(error, "trailing bytes after section table");
   return true;
 }
 
-const Bytes* SectionReader::find(const std::string& name) const {
+const SectionReader::View* SectionReader::find(const std::string& name) const {
   const auto it = sections_.find(name);
   return it == sections_.end() ? nullptr : &it->second;
 }
@@ -307,9 +309,10 @@ struct VehicleRecord {
   /// foreign ids whose rows interleave chronologically with local spawns.
   std::uint32_t row{0};
   /// The node's field list behind its byte length: a save encodes the live
-  /// node in place, a restore keeps the bytes until the node exists.
+  /// node in place, a restore keeps a view of its bytes in the envelope
+  /// until the node exists.
   const protocol::VehicleNode* live{nullptr};
-  Bytes node;
+  std::span<const std::uint8_t> node;
 
   template <class Ar, class Self> static void io(Ar& ar, Self& r) {
     ar.id(r.id);
@@ -375,8 +378,8 @@ void World::checkpoint_save(ByteWriter& envelope) const {
   out.finish();
 }
 
-std::unique_ptr<World> World::checkpoint_restore(const Bytes& blob,
-                                                 std::string* error) {
+std::unique_ptr<World> World::checkpoint_restore(
+    std::span<const std::uint8_t> blob, std::string* error) {
   checkpoint::SectionReader in;
   if (!in.parse(blob, checkpoint::kCheckpointSchema, kMaxSections, error)) {
     return nullptr;

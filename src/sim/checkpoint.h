@@ -22,6 +22,7 @@
 #pragma once
 
 #include <map>
+#include <span>
 #include <string>
 
 #include "sim/world.h"
@@ -86,23 +87,26 @@ class SectionWriter {
 /// written cost no resident memory.
 std::size_t save_reserve(std::size_t previous);
 
-/// Reads that envelope back. Every CRC is checked before any state is
-/// applied; sections nobody asks for (a newer writer's) are skipped.
+/// Reads that envelope back in place: each section is a view into the
+/// parsed blob, which must outlive the reader. Every CRC is checked before
+/// any state is applied; sections nobody asks for (a newer writer's) are
+/// skipped.
 class SectionReader {
  public:
+  using View = std::span<const std::uint8_t>;
   /// False, with a diagnostic in *error, on a wrong schema, more than
   /// `max_sections` sections, truncation, a CRC mismatch or trailing bytes.
-  bool parse(const Bytes& blob, std::string_view schema,
-             std::size_t max_sections, std::string* error);
+  bool parse(View blob, std::string_view schema, std::size_t max_sections,
+             std::string* error);
   /// The payload of section `name`; null when absent.
-  const Bytes* find(const std::string& name) const;
+  const View* find(const std::string& name) const;
   /// Reads section `name` through `fn(ReadArchive&)`. False, with
   /// "missing/malformed <name> section" in *error, unless the section exists
   /// and parses to its last byte.
   template <class Fn>
   bool read(const std::string& name, std::string* error, Fn fn,
             chain::BlockTable* blocks = nullptr) const {
-    const Bytes* payload = find(name);
+    const View* payload = find(name);
     if (payload == nullptr) return fail(error, "missing " + name + " section");
     ByteReader r(*payload);
     ReadArchive ar(r, blocks);
@@ -114,7 +118,7 @@ class SectionReader {
   static bool fail(std::string* error, std::string msg);
 
  private:
-  std::map<std::string, Bytes> sections_;
+  std::map<std::string, View> sections_;
 };
 
 // --- replay bundles --------------------------------------------------------

@@ -409,9 +409,8 @@ Bytes Grid::checkpoint_save() const {
   return envelope.take();
 }
 
-std::unique_ptr<Grid> Grid::checkpoint_restore(const Bytes& blob,
-                                               int grid_threads,
-                                               std::string* error) {
+std::unique_ptr<Grid> Grid::checkpoint_restore(
+    std::span<const std::uint8_t> blob, int grid_threads, std::string* error) {
   const auto fail = [&](const std::string& msg) -> std::unique_ptr<Grid> {
     if (error) *error = msg;
     return nullptr;
@@ -421,7 +420,7 @@ std::unique_ptr<Grid> Grid::checkpoint_restore(const Bytes& blob,
   if (!in.parse(blob, kGridCheckpointSchema, kGridMaxSections, error)) {
     return nullptr;
   }
-  const Bytes* section = in.find(kSectionGrid);
+  const auto* section = in.find(kSectionGrid);
   if (section == nullptr) return fail("missing grid section");
   ByteReader g(*section);
   ReadArchive ar(g);
@@ -435,7 +434,7 @@ std::unique_ptr<Grid> Grid::checkpoint_restore(const Bytes& blob,
   const int n = grid->config_.rows * grid->config_.cols;
   grid->shards_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    const Bytes* shard = in.find("shard." + std::to_string(i));
+    const auto* shard = in.find("shard." + std::to_string(i));
     if (shard == nullptr) {
       return fail("missing shard." + std::to_string(i) + " section");
     }

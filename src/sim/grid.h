@@ -27,6 +27,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -140,10 +141,12 @@ class Grid {
   /// Rebuilds a grid positioned exactly where the saved run stood;
   /// continuing is byte-identical to the uninterrupted run. `grid_threads`
   /// is deliberately NOT part of the envelope — the restoring process picks
-  /// its own (a wall-clock knob). Returns nullptr on malformed input.
-  static std::unique_ptr<Grid> checkpoint_restore(const Bytes& blob,
-                                                  int grid_threads,
-                                                  std::string* error = nullptr);
+  /// its own (a wall-clock knob). Reads the envelope in place, each shard
+  /// straight from its section (a `Bytes` binds). Returns nullptr on
+  /// malformed input.
+  static std::unique_ptr<Grid> checkpoint_restore(
+      std::span<const std::uint8_t> blob, int grid_threads,
+      std::string* error = nullptr);
 
  private:
   /// A vehicle in flight on an edge's reliable lane.

@@ -98,7 +98,7 @@ World::World(ScenarioConfig config, Tick resume_t)
   im_ctx.malicious_ids = &malicious_ids_;
   im_ctx.registry = &registry_;
   im_ctx.tracer = &tracer_;
-  im_ = std::make_unique<protocol::ImNode>(im_ctx, config_.scheduler, im_attack);
+  im_ = std::make_unique<protocol::ImNode>(im_ctx, im_attack);
   network_->add_node(im_.get());
   if (resume) {
     // start()'s first window event always predates any checkpoint; the
@@ -233,16 +233,8 @@ void World::spawn_legacy(const traffic::Arrival& arrival, VehicleId id) {
   ++position_epoch_;  // legacy vehicles are sensor-visible from spawn
 }
 
-void World::record_exit(const protocol::VehicleNode& v, Tick now) {
-  if (!exit_log_enabled_) return;
-  ExitRecord rec;
-  rec.id = v.id();
-  rec.route_id = v.route_id();
-  rec.exit_time = now;
-  rec.speed_mps = v.speed_mps();
-  rec.traits = v.traits();
-  rec.attack = v.attack_profile();
-  exit_log_.push_back(rec);
+void World::record_exit(const ExitRecord& rec) {
+  if (exit_log_enabled_) exit_log_.push_back(rec);
 }
 
 void World::inject_vehicle(VehicleId id, int route_id,
@@ -355,16 +347,8 @@ void World::step_legacy(Duration dt_ms) {
     l.s += l.v * dt;
     if (l.s >= intersection_.route(l.route_id).path.length() - 0.05) {
       l.exited = true;
-      if (exit_log_enabled_) {
-        ExitRecord rec;
-        rec.id = id;
-        rec.route_id = l.route_id;
-        rec.exit_time = clock_.now();
-        rec.speed_mps = l.v;
-        rec.traits = l.traits;
-        rec.legacy = true;
-        exit_log_.push_back(rec);
-      }
+      record_exit({.id = id, .route_id = l.route_id, .exit_time = clock_.now(),
+                   .speed_mps = l.v, .traits = l.traits, .attack = {}, .legacy = true});
     }
   }
   ++position_epoch_;  // legacy vehicles moved
@@ -373,7 +357,7 @@ void World::step_legacy(Duration dt_ms) {
 void World::step_world(Tick now) {
   const Duration dt = config_.step_ms;
   const auto watch_every =
-      std::max<Tick>(1, config_.nwade.watch_interval_ms / config_.step_ms);
+      std::max<Tick>(1, protocol::kWatchIntervalMs / config_.step_ms);
   const Tick step_index = now / config_.step_ms;
 
   // Per-phase profiling: one 'X' span per phase per step, sim-duration 0
@@ -424,7 +408,9 @@ void World::step_physics(Tick now, Duration dt) {
     if (v->exited()) {
       network_->remove_node(v->node_id());
       crossing_times_.push_back(now - spawn_times_[id]);
-      record_exit(*v, now);
+      record_exit({.id = id, .route_id = v->route_id(), .exit_time = now,
+                   .speed_mps = v->speed_mps(), .traits = v->traits(),
+                   .attack = v->attack_profile()});
     }
   }
   in_physics_ = false;

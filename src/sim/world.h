@@ -10,6 +10,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -43,7 +44,6 @@ struct ScenarioConfig {
   /// `nwade.security_enabled` = false is plain AIM without the NWADE
   /// security layer (Fig. 8's baseline).
   protocol::NwadeConfig nwade;
-  aim::SchedulerConfig scheduler;
   net::NetworkConfig network;
   SignerKind signer{SignerKind::kHmac};
 
@@ -154,10 +154,11 @@ class World final : public protocol::SensorProvider {
   void checkpoint_save(ByteWriter& envelope) const;
   /// Reconstructs a world from a checkpoint and positions it exactly where
   /// the saved run stood: continuing with run_until/run is byte-identical to
-  /// the uninterrupted run. Returns nullptr on malformed or corrupt input
-  /// (with a diagnostic in *error when provided).
-  static std::unique_ptr<World> checkpoint_restore(const Bytes& blob,
-                                                   std::string* error = nullptr);
+  /// the uninterrupted run. Reads the envelope in place (a `Bytes` binds).
+  /// Returns nullptr on malformed or corrupt input (with a diagnostic in
+  /// *error when provided).
+  static std::unique_ptr<World> checkpoint_restore(
+      std::span<const std::uint8_t> blob, std::string* error = nullptr);
 
   // --- SensorProvider -------------------------------------------------------
   /// Allocation-free once `out` has room for every live vehicle: fills it
@@ -288,8 +289,8 @@ class World final : public protocol::SensorProvider {
 
   void assign_attack_roles(std::vector<traffic::Arrival>& arrivals);
   /// Appends to exit_log_ (no-op unless enable_exit_log()); called at every
-  /// managed exit commit point with the just-exited node.
-  void record_exit(const protocol::VehicleNode& v, Tick now);
+  /// exit commit point, managed and legacy.
+  void record_exit(const ExitRecord& rec);
   /// The wiring every managed vehicle gets, at spawn and on restore.
   protocol::VehicleContext vehicle_context();
   void spawn(const traffic::Arrival& arrival, VehicleId id);

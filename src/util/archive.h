@@ -87,6 +87,15 @@ class Archive {
       s_.u8(static_cast<std::uint8_t>(e));
     }
   }
+  /// The slot of a setting since fixed in code: `value` as an f64 if
+  /// floating point, else an i64. A read rejects any other value, since the
+  /// code no longer honours one.
+  template <class T> void pinned(T value) {
+    using Wire = std::conditional_t<std::is_floating_point_v<T>, double, std::int64_t>;
+    Wire v = static_cast<Wire>(value);
+    scalar<Wire>(v);
+    if (v != static_cast<Wire>(value)) fail();
+  }
   /// A byte that is always written 0 and skipped on read.
   void reserved() {
     if constexpr (Reading) {
@@ -143,13 +152,13 @@ class Archive {
     }
   }
 
-  /// A nested type behind a u32 byte length that a read keeps as raw bytes
-  /// in `raw`, for a parse the caller runs later. A save encodes `*x` in
-  /// place and patches the length in: the bytes `bytes(to_bytes(*x))`
-  /// writes, without the temporary buffer.
-  template <class T, class B> void staged(T* x, B& raw) {
+  /// A nested type behind a u32 byte length that a read keeps in `raw`, a
+  /// view into the input, for a parse the caller runs later (the input must
+  /// outlive it). A save encodes `*x` in place and patches the length in:
+  /// the bytes `bytes(to_bytes(*x))` writes, without the temporary buffer.
+  template <class T, class V> void staged(T* x, V& raw) {
     if constexpr (Reading) {
-      raw = s_.bytes();
+      raw = s_.view(s_.u32());
     } else {
       const std::size_t slot = s_.size();
       s_.u32(0);

@@ -33,20 +33,18 @@ TEST(TrafficLight, NegativeTimeIsRed) {
 
 TEST(TrafficLight, ClearanceSeparatesPhases) {
   const auto ix = make_ix();
-  TrafficLightConfig cfg;
-  TrafficLightScheduler lights(ix, cfg);
+  TrafficLightScheduler lights(ix);
   // During any clearance interval no leg is green.
-  const Tick t = cfg.green_ms + cfg.clearance_ms / 2;
+  const Tick t = kGreenMs + kClearanceMs / 2;
   for (int leg = 0; leg < 4; ++leg) EXPECT_FALSE(lights.is_green(leg, t));
 }
 
 TEST(TrafficLight, HeadwayBetweenSameLegEntries) {
   const auto ix = make_ix();
-  TrafficLightConfig cfg;
-  TrafficLightScheduler lights(ix, cfg);
+  TrafficLightScheduler lights(ix);
   const TravelPlan a = lights.schedule(VehicleId{1}, 0, {}, 0, 20.0);
   const TravelPlan b = lights.schedule(VehicleId{2}, 0, {}, 0, 20.0);
-  EXPECT_GE(b.core_entry - a.core_entry, cfg.service_headway_ms);
+  EXPECT_GE(b.core_entry - a.core_entry, kServiceHeadwayMs);
 }
 
 TEST(TrafficLight, DifferentLegsIndependentUntilPhase) {
@@ -86,9 +84,8 @@ TEST(TrafficLight, CycleScalesWithLegCount) {
   traffic::IntersectionConfig cfg5;
   cfg5.kind = traffic::IntersectionKind::kIrregular5;
   const auto ix5 = traffic::Intersection::build(cfg5);
-  TrafficLightConfig tcfg;
-  TrafficLightScheduler lights(ix5, tcfg);
-  EXPECT_EQ(lights.cycle_ms(), 5 * (tcfg.green_ms + tcfg.clearance_ms));
+  TrafficLightScheduler lights(ix5);
+  EXPECT_EQ(lights.cycle_ms(), 5 * (kGreenMs + kClearanceMs));
 }
 
 }  // namespace

@@ -95,11 +95,11 @@ std::optional<std::pair<Tick, Tick>> padded_occupancy(const TravelPlan& plan,
 /// Queries every occupancy of a freshly issued plan against the mirror (the
 /// indexed answer must equal the oracle's, and the oracle must find the slot
 /// free, as the scheduler claimed), then commits it.
-void check_and_commit(const Intersection& ix, const SchedulerConfig& cfg,
-                      const TravelPlan& plan, MirrorTables& mirror) {
+void check_and_commit(const Intersection& ix, const TravelPlan& plan,
+                      MirrorTables& mirror) {
   const traffic::Route& route = ix.route(plan.route_id);
   const auto visit = [&](IntervalTable& table, double s_begin, double s_end) {
-    const auto occ = padded_occupancy(plan, s_begin, s_end, cfg.margin_ms);
+    const auto occ = padded_occupancy(plan, s_begin, s_end, kSchedulerMarginMs);
     if (!occ) return;
     expect_query_matches(table, occ->first, occ->second);
     EXPECT_EQ(linear_sweep(table, occ->first, occ->second), std::nullopt)
@@ -120,8 +120,7 @@ void run_layout_stream(IntersectionKind kind, double vpm, Duration duration_ms,
   IntersectionConfig ix_cfg;
   ix_cfg.kind = kind;
   const Intersection ix = Intersection::build(ix_cfg);
-  const SchedulerConfig cfg;
-  ReservationScheduler scheduler(ix, cfg);
+  ReservationScheduler scheduler(ix);
   MirrorTables mirror(ix);
 
   ArrivalGenerator gen(ix, vpm, Rng(seed));
@@ -136,7 +135,7 @@ void run_layout_stream(IntersectionKind kind, double vpm, Duration duration_ms,
     const VehicleId id{next_id++};
     const TravelPlan plan =
         scheduler.schedule(id, a.route_id, a.traits, a.time, a.initial_speed_mps);
-    check_and_commit(ix, cfg, plan, mirror);
+    check_and_commit(ix, plan, mirror);
     scheduled.emplace_back(id, a.route_id);
 
     // Random windows around the stream's present, on every table.
@@ -161,7 +160,7 @@ void run_layout_stream(IntersectionKind kind, double vpm, Duration duration_ms,
       const TravelPlan re = scheduler.reschedule(
           vid, route_id, arrivals[i / 3].traits, a.time + 500, 5.0);
       // s_start = 5 m lies before every core, so the replan is fitted.
-      check_and_commit(ix, cfg, re, mirror);
+      check_and_commit(ix, re, mirror);
     }
     if (i % 31 == 30) {
       mirror.for_each_table([&](IntervalTable& t) { t = round_trip(t); });

@@ -111,8 +111,8 @@ TEST(Names, ImStatesCoverFig2) {
 
 TEST(Config, PaperDefaults) {
   const NwadeConfig cfg;
-  EXPECT_EQ(cfg.processing_window_ms, 1000);            // delta
-  EXPECT_NEAR(cfg.sensing_radius_m, 304.8, 0.1);        // 1000 ft
+  EXPECT_EQ(kProcessingWindowMs, 1000);                 // delta
+  EXPECT_NEAR(kSensingRadiusM, 304.8, 0.1);             // 1000 ft
   EXPECT_NEAR(cfg.im_perception_radius_m, 304.8, 0.1);  // 1000 ft
   EXPECT_TRUE(cfg.double_check_verification);
   EXPECT_TRUE(cfg.security_enabled);

@@ -40,8 +40,7 @@ class Harness : public SensorProvider {
     ctx.signer = signer_.get();
     ctx.metrics = &metrics_;
     ctx.malicious_ids = &malicious_;
-    im_ = std::make_unique<ImNode>(ctx, aim::SchedulerConfig{},
-                                   ImAttackProfile{im_mode, im_trigger});
+    im_ = std::make_unique<ImNode>(ctx, ImAttackProfile{im_mode, im_trigger});
     network_->add_node(im_.get());
     im_->start();
   }

@@ -177,7 +177,7 @@ TEST(BlockVerification, EquivocatingBlockUnderCachedSeqIsRejected) {
     stolen.vehicle = VehicleId{1};
     stolen.issued_at = h.now();
     ASSERT_EQ(aim::find_plan_conflicts(h.intersection(), {&stolen, h.vehicle(2).plan()},
-                                       h.config().plan_check_margin_ms)
+                                       kPlanCheckMarginMs)
                   .size(),
               1u);
     const chain::BlockPtr twin = chain::Block::package(

@@ -134,12 +134,14 @@ ScenarioConfig random_scenario(Rng& rng) {
   s.duration_ms = rint(rng, 10'000, 600'000);
   s.step_ms = 100;
   s.seed = static_cast<std::uint64_t>(rint(rng, 1, 1 << 30));
-  s.nwade.deviation_tolerance_m = rdouble(rng, 1, 10);
-  s.nwade.verification_round_ms = rint(rng, 100, 2000);
-  s.nwade.plan_grace_ms = rint(rng, 0, 5000);
+  // The draws of three settings since fixed in code, kept so every later
+  // draw stays what it was.
+  (void)rdouble(rng, 1, 10);
+  (void)rint(rng, 100, 2000);
+  (void)rint(rng, 0, 5000);
   s.nwade.double_check_verification = rint(rng, 0, 1) != 0;
   s.nwade.chain_depth = static_cast<std::size_t>(rint(rng, 4, 256));
-  s.scheduler.margin_ms = rint(rng, 100, 2000);
+  (void)rint(rng, 100, 2000);  // likewise, the scheduler margin
   s.network.latency_ms = rint(rng, 1, 100);
   s.network.loss_probability = rdouble(rng, 0, 0.3);
   s.network.seed = static_cast<std::uint64_t>(rint(rng, 1, 1 << 30));
@@ -330,9 +332,9 @@ Bytes section_of(const Bytes& blob, const std::string& name) {
   checkpoint::SectionReader in;
   std::string error;
   EXPECT_TRUE(in.parse(blob, checkpoint::kCheckpointSchema, 64, &error)) << error;
-  const Bytes* payload = in.find(name);
+  const auto* payload = in.find(name);
   EXPECT_NE(payload, nullptr) << "no section '" << name << "'";
-  return payload != nullptr ? *payload : Bytes{};
+  return payload != nullptr ? Bytes(payload->begin(), payload->end()) : Bytes{};
 }
 
 /// The envelope with section `name` swapped for `payload` and that section's

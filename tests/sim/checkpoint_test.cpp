@@ -7,6 +7,7 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -316,6 +317,49 @@ TEST(CheckpointRestore, RejectsCorruptEnvelope) {
     EXPECT_EQ(World::checkpoint_restore(truncated, &error), nullptr)
         << "prefix length " << len;
   }
+}
+
+/// The little-endian i64 at `at`.
+std::int64_t i64_at(const Bytes& b, std::size_t at) {
+  return ByteReader(std::span<const std::uint8_t>(b).subspan(at, 8)).i64();
+}
+
+/// Overwrites the little-endian i64 at `at` with `v`.
+void patch_i64(Bytes& b, std::size_t at, std::int64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    b.at(at + i) = static_cast<std::uint8_t>(static_cast<std::uint64_t>(v) >> (8 * i));
+  }
+}
+
+TEST(CheckpointRestore, RejectsAFixedSettingAtAnotherValue) {
+  // The processing window's slot: the i64 after the intersection block (a
+  // kind byte and seven f64s), vpm, duration, step and seed.
+  constexpr std::size_t kWindowSlot = 1 + 7 * 8 + 8 + 8 + 8 + 8;
+  ByteWriter w;
+  checkpoint::save_scenario_config(w, ScenarioConfig{});
+  Bytes config = w.take();
+  ASSERT_EQ(i64_at(config, kWindowSlot), protocol::kProcessingWindowMs);
+
+  ScenarioConfig loaded;
+  ByteReader control(config);
+  ASSERT_TRUE(checkpoint::load_scenario_config(control, loaded));
+
+  // A run cannot continue bit-exactly on a window the code no longer honours.
+  patch_i64(config, kWindowSlot, 2000);
+  ByteReader patched(config);
+  EXPECT_FALSE(checkpoint::load_scenario_config(patched, loaded));
+
+  checkpoint::ReplayBundle bundle;
+  bundle.run_to = 60'000;
+  Bytes blob = checkpoint::save_replay_bundle(bundle);
+  const std::size_t in_bundle = 4 + checkpoint::kReplaySchema.size() + kWindowSlot;
+  ASSERT_EQ(i64_at(blob, in_bundle), protocol::kProcessingWindowMs);
+  checkpoint::ReplayBundle out;
+  std::string error;
+  ASSERT_TRUE(checkpoint::load_replay_bundle(blob, out, &error)) << error;
+  patch_i64(blob, in_bundle, 2000);
+  EXPECT_FALSE(checkpoint::load_replay_bundle(blob, out, &error));
+  EXPECT_FALSE(error.empty());
 }
 
 }  // namespace

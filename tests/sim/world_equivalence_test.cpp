@@ -132,7 +132,7 @@ TEST(WorldEquivalence, SenseAroundMatchesBruteForceScan) {
       for (std::size_t k = 0; k < ids.size(); k += 4) {
         const protocol::VehicleNode* v = world.vehicle(ids[k]);
         if (v->exited()) continue;
-        check(v->position(), cfg.nwade.sensing_radius_m, ids[k]);
+        check(v->position(), protocol::kSensingRadiusM, ids[k]);
       }
       if (::testing::Test::HasFatalFailure()) return;
     }
