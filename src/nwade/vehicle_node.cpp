@@ -18,15 +18,6 @@ double elapsed_us(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Checks the required context pointers, then claims the node's SoA row.
-/// Runs from the member-initializer list, before anything dereferences them.
-std::size_t claim_kin_row(const VehicleContext& ctx, VehicleId id,
-                          int route_id) {
-  assert(ctx.intersection && ctx.config && ctx.network && ctx.clock &&
-         ctx.sensors && ctx.metrics && ctx.malicious_ids && ctx.columns);
-  return ctx.columns->add_row(id.value, static_cast<std::uint32_t>(route_id));
-}
-
 }  // namespace
 
 const char* vehicle_state_name(VehicleState s) {
@@ -53,11 +44,10 @@ VehicleNode::VehicleNode(VehicleContext ctx, VehicleId id, int route_id,
       traits_(traits),
       spawn_time_(spawn_time),
       attack_(attack),
-      kin_row_(claim_kin_row(ctx_, id, route_id)),
-      s_(ctx_.columns->s[kin_row_]),
-      v_(ctx_.columns->v[kin_row_]),
-      lateral_offset_(ctx_.columns->lateral[kin_row_]),
-      store_(ctx.config->chain_depth) {}
+      store_(ctx.config->chain_depth) {
+  assert(ctx_.intersection && ctx_.config && ctx_.network && ctx_.clock &&
+         ctx_.sensors && ctx_.metrics && ctx_.malicious_ids);
+}
 
 void VehicleNode::trace_instant(const char* cat, const char* name,
                                 Tick now) const {
@@ -122,15 +112,6 @@ void VehicleNode::retry_plan_request(Tick now) {
   for (int i = 1; i < plan_retries_; ++i) backoff *= 2;
   backoff = std::min(backoff, kPlanRequestBackoffCapMs);
   next_plan_request_at_ = now + backoff;
-}
-
-void VehicleNode::set_state(VehicleState next) {
-  state_ = next;
-  // Mirror liveness into the SoA active flag so column-streaming loops (the
-  // sensor-scene rebuild, car following's route buckets) can skip exited
-  // rows without touching the node.
-  ctx_.columns->active[kin_row_] =
-      next == VehicleState::kExited ? std::uint8_t{0} : std::uint8_t{1};
 }
 
 int VehicleNode::adaptive_threshold() const {
@@ -1140,7 +1121,6 @@ void VehicleNode::io(Ar& ar, Self& v) {
   ar.flag(v.attack_fired_);
   ar.flag(v.global_report_sent_);
   ar.i64(v.sensed_neighbours_);
-  if constexpr (Ar::kReading) v.set_state(v.state_);  // mirrors the SoA flag
 }
 template void VehicleNode::io(WriteArchive&, const VehicleNode&);
 template void VehicleNode::io(ReadArchive&, VehicleNode&);

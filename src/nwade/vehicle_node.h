@@ -90,13 +90,6 @@ struct VehicleContext {
   /// Optional telemetry (nullptr = no trace); injected by the World.
   util::telemetry::Registry* registry{nullptr};
   util::trace::Tracer* tracer{nullptr};
-  /// SoA home for the vehicle's kinematic hot state (progress, speed,
-  /// lateral offset); required. The node claims one row at construction and
-  /// its s_/v_/lateral_offset_ references alias the column slots, so the
-  /// world's car following and sensor-scene rebuild can stream every
-  /// vehicle's kinematics contiguously. Must outlive the node and must be
-  /// reserve()d for every row it will ever hold.
-  traffic::VehicleColumns* columns{nullptr};
 };
 
 /// One neighbourhood watch in flight: the sensor sweep and what Algorithm
@@ -174,15 +167,9 @@ class VehicleNode final : public net::Node {
   const std::set<VehicleId>& self_evac_announced() const;
   Tick spawn_time() const { return spawn_time_; }
   const VehicleAttackProfile& attack_profile() const { return attack_; }
-  /// SoA row this node claimed at construction. The checkpoint layer
-  /// records it so a restored world can rebuild nodes in row order — which
-  /// is spawn order, not necessarily id order once grid handoffs inject
-  /// foreign ids mid-run.
-  std::size_t kin_row() const { return kin_row_; }
 
   /// Grid boundary handoff: seeds the carried-over entry speed right after
-  /// construction, before the vehicle's first step (a plain assignment
-  /// through the kinematics reference into the SoA row).
+  /// construction, before the vehicle's first step.
   void seed_speed(double v_mps) { v_ = v_mps; }
 
   // --- checkpoint/restore (sim/checkpoint) -----------------------------------
@@ -250,7 +237,7 @@ class VehicleNode final : public net::Node {
   /// Majority threshold adapted to the locally sensed neighbourhood size.
   int adaptive_threshold() const;
 
-  void set_state(VehicleState next);
+  void set_state(VehicleState next) { state_ = next; }
 
   VehicleContext ctx_;
   VehicleId id_;
@@ -261,13 +248,10 @@ class VehicleNode final : public net::Node {
 
   VehicleState state_{VehicleState::kPreparation};
 
-  // Physical ground truth. The values live in the world's SoA columns (one
-  // claimed row) and the references alias the column slots; every method —
-  // including the checkpoint byte layout — reads and writes through them.
-  std::size_t kin_row_{0};
-  double& s_;
-  double& v_;
-  double& lateral_offset_;  ///< deviators drift off the lane centreline
+  // Physical ground truth.
+  double s_{0};               ///< arc-length progress along the route path (m)
+  double v_{0};               ///< speed (m/s)
+  double lateral_offset_{0};  ///< deviators drift off the lane centreline (m)
 
   // Protocol state.
   chain::BlockStore store_;

@@ -111,9 +111,9 @@ void ScenarioConfig::io(Ar& ar, Self& c) {
   ar.f64(c.legacy_fraction);
   ar.reserved();
   ar.flag(c.trace_enabled);
-  // Grid-sharding hooks (appended last). Unlike step_threads these are
-  // behavior knobs: the id base names every vehicle and the extra capacity
-  // must be re-reserved on restore.
+  // Grid-sharding hooks (appended last). Unlike step_threads the id base is
+  // a behavior knob: it names every vehicle. The extra capacity is a carried
+  // slot that nothing reads (world.h).
   ar.u64(c.vehicle_id_base);
   ar.u64(c.extra_vehicle_capacity);
   if constexpr (Ar::kReading) {
@@ -296,7 +296,7 @@ constexpr const char* kSectionTelemetry = "telemetry";
 constexpr std::size_t kMaxSections = 64;
 
 /// One managed vehicle in the vehicles section: its constructor arguments,
-/// the SoA row it owns, and its node state as a length-prefixed blob, so a
+/// its spawn index, and its node state as a length-prefixed blob, so a
 /// restore can stage every record before constructing any node.
 struct VehicleRecord {
   VehicleId id;
@@ -304,9 +304,9 @@ struct VehicleRecord {
   traffic::VehicleTraits traits;
   Tick spawn_time{0};
   protocol::VehicleAttackProfile profile;
-  /// Restore re-constructs nodes in *row* order (not id order) so every node
-  /// claims the row it held before the checkpoint: grid handoffs inject
-  /// foreign ids whose rows interleave chronologically with local spawns.
+  /// The vehicle's spawn index (the v1 layout calls it a row). Restore
+  /// re-constructs nodes in this order, not id order: grid handoffs inject
+  /// foreign ids that interleave chronologically with local spawns.
   std::uint32_t row{0};
   /// The node's field list behind its byte length: a save encodes the live
   /// node in place, a restore keeps a view of its bytes in the envelope
@@ -361,13 +361,12 @@ void World::checkpoint_save(ByteWriter& envelope) const {
   });
   out.add(kSectionIm, [&](WriteArchive& ar) { ar(std::as_const(*im_)); });
   out.add(kSectionVehicles, [&](WriteArchive& ar) {
-    ar.seq(vehicles_, kMinVehicleRecord, [](WriteArchive& a, const auto& entry) {
+    ar.seq(vehicles_, kMinVehicleRecord, [&](WriteArchive& a, const auto& entry) {
       const protocol::VehicleNode& v = *entry.second;
-      const VehicleRecord rec{entry.first,       v.route_id(),
-                              v.traits(),        v.spawn_time(),
-                              v.attack_profile(),
-                              static_cast<std::uint32_t>(v.kin_row()),
-                              &v,                {}};
+      const VehicleRecord rec{entry.first,        v.route_id(),
+                              v.traits(),         v.spawn_time(),
+                              v.attack_profile(), spawn_index_.at(entry.first),
+                              &v,                 {}};
       a(rec);
     });
   });
@@ -432,15 +431,19 @@ bool World::apply_checkpoint(const checkpoint::SectionReader& in,
               [&](ReadArchive& ar) { ar(telemetry); });
   if (!ok) return false;
 
-  // Construct in *row* order: rows encode the original spawn/injection
-  // chronology, which grid handoffs decouple from id order. Constructing
-  // row-by-row reproduces both the SoA row assignment and the network's
-  // add_node order.
+  // Construct in spawn order, which grid handoffs decouple from id order:
+  // that reproduces the network's add_node order and live_, and numbers
+  // the spawn indices afresh from 0.
   std::sort(records.begin(), records.end(),
             [](const VehicleRecord& a, const VehicleRecord& b) {
               return a.row != b.row ? a.row < b.row : a.id.value < b.id.value;
             });
   for (const VehicleRecord& rec : records) {
+    if (!spawn_index_
+             .emplace(rec.id, static_cast<std::uint32_t>(spawn_index_.size()))
+             .second) {
+      return checkpoint::SectionReader::fail(error, "duplicate vehicle record");
+    }
     // Attackers injected by a grid handoff are not re-created by
     // assign_attack_roles on resume — re-register their roles so sensing
     // and metrics labelling keep treating them as malicious.
@@ -458,8 +461,10 @@ bool World::apply_checkpoint(const checkpoint::SectionReader& in,
     // Exited vehicles were removed from the network when they left; their
     // chain stores still matter (trace digests fold every vehicle). A
     // restored vehicle never start()s — its spawn is history.
-    if (!node->exited()) network_->add_node(node.get());
-    row_nodes_.push_back(node.get());
+    if (!node->exited()) {
+      network_->add_node(node.get());
+      live_.push_back(node.get());
+    }
     vehicles_[rec.id] = std::move(node);
   }
   // Telemetry last: reconstruction above re-touches gauges and counters

@@ -97,8 +97,8 @@ Grid::Grid(GridConfig config, bool construct_worlds)
   shards_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     const auto ui = static_cast<std::size_t>(i);
-    // A vehicle enters any shard at most once (revisit retirement), so the
-    // worst-case injection load on a shard is every OTHER shard's arrivals.
+    // Only fills the v1 config slot (no World reads it), so every grid
+    // envelope keeps its bytes: every OTHER shard's arrivals.
     cfgs[ui].extra_vehicle_capacity =
         static_cast<std::uint64_t>(total - counts[ui]);
     shards_.push_back(std::make_unique<World>(cfgs[ui]));

@@ -71,15 +71,6 @@ World::World(ScenarioConfig config, Tick resume_t)
   auto arrivals = gen.generate(config_.duration_ms);
   assign_attack_roles(arrivals);
 
-  // Any arrival may become a managed vehicle owning one SoA row — plus any
-  // vehicle a grid may hand off into this shard mid-run; reserving for all
-  // of them up front keeps the node-held references stable for the whole
-  // run (VehicleColumns::add_row asserts on this).
-  const std::size_t rows =
-      arrivals.size() + static_cast<std::size_t>(config_.extra_vehicle_capacity);
-  columns_.reserve(rows);
-  row_nodes_.reserve(rows);
-
   // Intersection manager.
   protocol::ImAttackProfile im_attack;
   if (config_.attack.im_malicious) {
@@ -198,7 +189,6 @@ protocol::VehicleContext World::vehicle_context() {
   ctx.malicious_ids = &malicious_ids_;
   ctx.registry = &registry_;
   ctx.tracer = &tracer_;
-  ctx.columns = &columns_;
   return ctx;
 }
 
@@ -213,8 +203,8 @@ void World::spawn(const traffic::Arrival& arrival, VehicleId id) {
   network_->add_node(node.get());
   node->start();
   spawn_times_[id] = clock_.now();
-  assert(node->kin_row() == row_nodes_.size());
-  row_nodes_.push_back(node.get());
+  spawn_index_.emplace(id, static_cast<std::uint32_t>(spawn_index_.size()));
+  live_.push_back(node.get());
   vehicles_[id] = std::move(node);
   ++position_epoch_;  // the new vehicle must show up in sensor queries
 }
@@ -317,9 +307,9 @@ void World::step_legacy(Duration dt_ms) {
     route.managed_s.clear();
     route.legacy.clear();
   }
-  for (std::size_t r = 0; r < columns_.size(); ++r) {
-    if (columns_.active[r] == 0) continue;
-    follow_routes_[columns_.route[r]].managed_s.push_back(columns_.s[r]);
+  for (const protocol::VehicleNode* v : live_) {
+    follow_routes_[static_cast<std::size_t>(v->route_id())].managed_s.push_back(
+        v->progress_s());
   }
   for (const auto& [id, l] : legacy_) {
     if (!l.exited) follow_routes_[l.route_id].legacy.push_back(&l);
@@ -407,6 +397,7 @@ void World::step_physics(Tick now, Duration dt) {
     v->step(now, dt);
     if (v->exited()) {
       network_->remove_node(v->node_id());
+      std::erase(live_, v.get());
       crossing_times_.push_back(now - spawn_times_[id]);
       record_exit({.id = id, .route_id = v->route_id(), .exit_time = now,
                    .speed_mps = v->speed_mps(), .traits = v->traits(),
@@ -571,13 +562,15 @@ RunSummary World::summary() const {
   s.metrics = metrics_;
   s.net_stats = network_->stats();
 
-  // Fold the pre-existing silos into the unified registry so one snapshot
-  // carries the whole run (docs/OBSERVABILITY.md). Everything folded is an
-  // integer read from sim state; the wall-clock vectors (im_package_us,
-  // vehicle_verify_us) deliberately stay out so two identical seeded runs
-  // produce byte-identical snapshot JSON.
-  const auto gauge = [this](const char* name, std::int64_t v) {
-    registry_.gauge(name).set(v);
+  // Fold the pre-existing silos into the snapshot so it carries the whole
+  // run (docs/OBSERVABILITY.md). Everything folded is an integer read from
+  // sim state; the wall-clock vectors (im_package_us, vehicle_verify_us)
+  // deliberately stay out so two identical seeded runs produce
+  // byte-identical snapshot JSON.
+  s.metrics_snapshot = registry_.snapshot();
+  auto& gauges = s.metrics_snapshot.gauges;
+  const auto gauge = [&gauges](const char* name, std::int64_t v) {
+    gauges[name] = v;
   };
   gauge("protocol.vehicles_spawned", metrics_.vehicles_spawned);
   gauge("protocol.vehicles_exited", metrics_.vehicles_exited);
@@ -600,9 +593,9 @@ RunSummary World::summary() const {
   gauge("protocol.im_crashes", metrics_.im_crashes);
   gauge("protocol.im_restarts", metrics_.im_restarts);
   gauge("protocol.im_courtesy_gaps", metrics_.im_courtesy_gaps);
-  const auto event_gauge = [this](const char* name,
-                                  const std::optional<Tick>& t) {
-    if (t) registry_.gauge(name).set(*t);
+  const auto event_gauge = [&gauges](const char* name,
+                                     const std::optional<Tick>& t) {
+    if (t) gauges[name] = *t;
   };
   event_gauge("protocol.event.violation_start_ms", metrics_.violation_start);
   event_gauge("protocol.event.first_true_incident_ms",
@@ -630,16 +623,13 @@ RunSummary World::summary() const {
         static_cast<std::int64_t>(cache.insertions));
   gauge("crypto.sig_cache.evictions",
         static_cast<std::int64_t>(cache.evictions));
-  s.metrics_snapshot = registry_.snapshot();
   const double minutes = ticks_to_seconds(stepped_until_ > 0 ? stepped_until_ : 1) / 60.0;
   s.throughput_vpm = metrics_.vehicles_exited / std::max(minutes, 1e-9);
   double total = 0;
   for (Duration d : crossing_times_) total += static_cast<double>(d);
   s.mean_crossing_ms =
       crossing_times_.empty() ? 0 : total / static_cast<double>(crossing_times_.size());
-  int active = 0;
-  for (const auto& [id, v] : vehicles_) active += v->exited() ? 0 : 1;
-  s.active_at_end = active;
+  s.active_at_end = static_cast<int>(live_.size());
   s.min_ground_truth_gap_violations = gap_violations_;
   s.legacy_spawned = static_cast<int>(legacy_.size());
   for (const auto& [id, l] : legacy_) s.legacy_exited += l.exited ? 1 : 0;
@@ -647,15 +637,11 @@ RunSummary World::summary() const {
 }
 
 void World::rebuild_sense_scene() const {
-  // Managed rows in SoA row order (ascending id in a standalone world; grid
-  // handoffs append foreign ids as they arrive), then legacy vehicles in id
-  // order: the order every sense reports. Skipping exited vehicles is safe
-  // because exit is permanent; the SoA active column mirrors it, so the walk
-  // never touches an exited node.
+  // Managed vehicles in spawn order, then legacy vehicles in id order: the
+  // order every sense reports. live_ drops a vehicle the moment it exits,
+  // and exit is permanent, so the walk never meets an exited node.
   sense_scene_.clear();
-  for (std::size_t r = 0; r < row_nodes_.size(); ++r) {
-    if (columns_.active[r] == 0) continue;
-    const protocol::VehicleNode* v = row_nodes_[r];
+  for (const protocol::VehicleNode* v : live_) {
     sense_scene_.push_back(
         SceneRow{protocol::Observation{v->id(), v->traits(), v->ground_truth()},
                  v, nullptr});

@@ -84,10 +84,9 @@ struct ScenarioConfig {
   /// unique across shards. 0 keeps the classic 1..N single-world numbering
   /// bit-identical. Part of the checkpoint envelope.
   std::uint64_t vehicle_id_base{0};
-  /// Extra SoA rows reserved beyond this world's own arrivals, for vehicles
-  /// injected mid-run (grid boundary handoffs). Serialized so a restored
-  /// world re-reserves identically and node-held row references never
-  /// dangle (traffic::VehicleColumns::add_row asserts on spare capacity).
+  /// No World code reads this. It holds the v1 `config` section's last
+  /// slot, which a Grid still fills with the other shards' arrival count so
+  /// every grid envelope keeps its bytes; it goes with the v2 schema.
   std::uint64_t extra_vehicle_capacity{0};
 
   /// Field list of every knob above but step_threads (the registry/tracer
@@ -139,6 +138,9 @@ class World final : public protocol::SensorProvider {
   /// Advances simulated time to `t` (stepwise driving for tests).
   void run_until(Tick t);
 
+  /// The run so far. The protocol and signature-cache silos are folded into
+  /// the returned snapshot as gauges; the registry itself, which a
+  /// checkpoint persists, is left as the run wrote it.
   RunSummary summary() const;
 
   // --- checkpoint/restore (sim/checkpoint.h, docs/CHECKPOINT.md) ------------
@@ -218,8 +220,8 @@ class World final : public protocol::SensorProvider {
   bool import_blacklist(VehicleId suspect);
   /// How many arrivals (managed + legacy) this scenario generates — re-runs
   /// the construction-time Poisson draw deterministically without building a
-  /// world. Grids use it to size extra_vehicle_capacity and to keep
-  /// vehicle_id_base strides collision-free.
+  /// world. Grids use it to keep vehicle_id_base strides collision-free
+  /// (and to fill extra_vehicle_capacity).
   static std::size_t arrival_count(const ScenarioConfig& config);
 
   // --- introspection ----------------------------------------------------------
@@ -230,8 +232,6 @@ class World final : public protocol::SensorProvider {
   const ScenarioConfig& config() const { return config_; }
   const protocol::ImNode& im() const { return *im_; }
   const protocol::Metrics& metrics() const { return metrics_; }
-  /// The run-scoped metrics registry every layer reports into.
-  util::telemetry::Registry& registry() { return registry_; }
   /// The run-scoped event tracer (enabled iff ScenarioConfig::trace_enabled).
   util::trace::Tracer& tracer() { return tracer_; }
   /// Moves the recorded trace events out (campaigns collect per-cell traces).
@@ -316,9 +316,8 @@ class World final : public protocol::SensorProvider {
   net::SimClock clock_;
   net::EventQueue queue_;
   /// Run-scoped telemetry. Declared before network_ / im_ / vehicles_, which
-  /// hold handles into them, so destruction order stays safe. mutable:
-  /// summary() is const but folds the protocol/crypto silos into gauges.
-  mutable util::telemetry::Registry registry_;
+  /// hold handles into them, so destruction order stays safe.
+  util::telemetry::Registry registry_;
   /// Size of this world's last envelope (saved or restored from), which the
   /// next checkpoint_save() reserves with headroom. A hint, not state.
   mutable std::size_t last_save_bytes_{0};
@@ -328,16 +327,15 @@ class World final : public protocol::SensorProvider {
   protocol::Metrics metrics_;
   std::set<VehicleId> malicious_ids_;
   std::map<VehicleId, protocol::VehicleAttackProfile> attack_roles_;
-  /// SoA home for every managed vehicle's kinematic hot state; row r belongs
-  /// to the r-th spawned vehicle (ascending id in a standalone world, while
-  /// grid handoffs append foreign ids as they arrive; exited rows stay with
-  /// active == 0). Reserved up front for every arrival so the node-held
-  /// references never dangle.
-  traffic::VehicleColumns columns_;
-  /// row_nodes_[r] is the node owning SoA row r (spawn order).
-  std::vector<const protocol::VehicleNode*> row_nodes_;
   std::unique_ptr<protocol::ImNode> im_;
   std::map<VehicleId, std::unique_ptr<protocol::VehicleNode>> vehicles_;
+  /// The managed vehicles on the road, in spawn order (ascending id in a
+  /// standalone world; grid handoffs append foreign ids as they arrive),
+  /// each dropped when it exits. Car following and the sensor scene walk it.
+  std::vector<const protocol::VehicleNode*> live_;
+  /// Every managed vehicle's spawn index in this world, which a checkpoint
+  /// records so a restore rebuilds the nodes in spawn order.
+  std::map<VehicleId, std::uint32_t> spawn_index_;
   std::map<VehicleId, LegacyVehicle> legacy_;
   std::map<VehicleId, Tick> spawn_times_;
   std::vector<Duration> crossing_times_;
@@ -397,7 +395,7 @@ class World final : public protocol::SensorProvider {
   bool in_physics_{false};
 
   /// The sensor scene: every live vehicle as a sensor sees it, managed rows
-  /// in SoA row order, then legacy vehicles in id order. Rebuilt on the
+  /// in spawn order (live_), then legacy vehicles in id order. Rebuilt on the
   /// first sense of each position epoch, so the precomputed observations
   /// equal the live ground truth whenever a sense reads them. What changes
   /// without moving anything (plan adoption, which makes a staged vehicle

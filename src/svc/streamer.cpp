@@ -71,10 +71,10 @@ bool TelemetryStreamer::attach(sim::World& w, bool resume) {
                     .field("cadence_ms", cfg_.cadence_ms)
                     .take();
   if (resume) {
-    // The last pre-checkpoint emission folded the gauges and snapshotted the
-    // registry, and the checkpoint preserved the registry exactly — so the
-    // restored snapshot IS the delta baseline the old stream left off at.
-    prev_ = w.registry().snapshot();
+    // The checkpoint preserved the registry exactly and summary() re-folds
+    // the gauges from restored state, so the restored summary IS the delta
+    // baseline the old stream left off at.
+    prev_ = w.summary().metrics_snapshot;
     last_emit_t_ = w.now();
   } else {
     ++seq_;
@@ -148,8 +148,8 @@ void TelemetryStreamer::emit_heartbeat(Tick t) {
 
 void TelemetryStreamer::emit_world_point(Tick t) {
   sim::World& w = *world_;
-  // summary() folds the protocol/crypto silos into registry gauges before
-  // snapshotting, so the detection timeline is visible live in the deltas.
+  // summary() folds the protocol/crypto silos into its snapshot as gauges,
+  // so the detection timeline is visible live in the deltas.
   const sim::RunSummary s = w.summary();
   if (cfg_.emit_health) emit(health_frame(seq_++, t, 0, 0, 0, w, s));
   if (cfg_.emit_metrics) {

@@ -64,7 +64,7 @@ class TelemetryStreamer {
 
   /// Subscribes to `w` (must not be a Grid shard) / `g`. Emits the hello
   /// frame unless `resume` — resuming continues a checkpointed stream: the
-  /// delta baseline is re-derived from the restored registry and `seq`
+  /// delta baseline is re-derived from the restored summary and `seq`
   /// continues from set_next_seq(), so the concatenation of the pre- and
   /// post-restore streams is byte-identical to an uninterrupted run.
   /// Returns false (and subscribes nothing) when cadence_ms does not sit on

@@ -5,6 +5,7 @@
 // survive the round trip at their exact event-queue coordinates.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <span>
@@ -15,6 +16,7 @@
 #include "sim/checkpoint.h"
 #include "sim/world.h"
 #include "util/bytes.h"
+#include "util/crc32.h"
 
 namespace nwade::sim {
 namespace {
@@ -251,6 +253,64 @@ TEST(CheckpointResume, ResumeOfResumeStaysExact) {
             "0e83bbd0a51d8df2b9ea6241bfb16e70f3e62c285ccd24da7b3aa131a39b0e2b");
 }
 
+TEST(CheckpointResume, HandoffsBeyondExtraVehicleCapacity) {
+  // A standalone world (extra_vehicle_capacity 0) that takes 60 boundary
+  // handoffs on top of its own ~20 arrivals: nothing sizes vehicle state
+  // from the arrival count, so the run, its save and its resume hold.
+  ScenarioConfig cfg = scenario(traffic::IntersectionKind::kCross4, 20, 3);
+  cfg.duration_ms = 60'000;
+  ASSERT_EQ(cfg.extra_vehicle_capacity, 0u);
+  World original(cfg);
+  const std::size_t routes = original.intersection().routes().size();
+  std::uint64_t next_id = 1'000'000;
+  for (Tick t = 1'000; t <= 10'000; t += 1'000) {
+    original.run_until(t);
+    for (int k = 0; k < 6; ++k) {
+      const int route = static_cast<int>(next_id % routes);
+      original.inject_vehicle(VehicleId{next_id++}, route, {}, 12.0);
+    }
+  }
+  const Bytes blob = original.checkpoint_save();
+
+  std::string error;
+  std::unique_ptr<World> resumed = World::checkpoint_restore(blob, &error);
+  ASSERT_NE(resumed, nullptr) << error;
+  EXPECT_EQ(resumed->checkpoint_save(), blob);
+  EXPECT_EQ(finish_digest(*resumed), finish_digest(original));
+}
+
+TEST(CheckpointResume, SummaryBeforeSaveLeavesTheEnvelopeAlone) {
+  // summary() is an observer: a world summarized every simulated second (as
+  // a streamer does) saves the same envelope as one never summarized. Only
+  // the metrics section differs between any two runs (wall-clock samples).
+  const ScenarioConfig cfg = scenario(traffic::IntersectionKind::kCross4, 80, 1);
+  World observed(cfg);
+  World plain(cfg);
+  for (Tick t = 1'000; t <= 20'000; t += 1'000) {
+    observed.run_until(t);
+    (void)observed.summary();
+    plain.run_until(t);
+  }
+  const Bytes a = observed.checkpoint_save();
+  const Bytes b = plain.checkpoint_save();
+  std::string error;
+  checkpoint::SectionReader ra;
+  checkpoint::SectionReader rb;
+  ASSERT_TRUE(ra.parse(a, checkpoint::kCheckpointSchema, 64, &error)) << error;
+  ASSERT_TRUE(rb.parse(b, checkpoint::kCheckpointSchema, 64, &error)) << error;
+  for (const std::string name : {"config", "time", "network", "im", "vehicles",
+                                 "legacy", "crypto", "telemetry"}) {
+    const auto* sa = ra.find(name);
+    const auto* sb = rb.find(name);
+    ASSERT_NE(sa, nullptr) << name;
+    ASSERT_NE(sb, nullptr) << name;
+    EXPECT_TRUE(std::equal(sa->begin(), sa->end(), sb->begin(), sb->end()))
+        << "section '" << name << "' depends on summary() calls";
+  }
+  ASSERT_NE(ra.find("metrics"), nullptr);
+  ASSERT_NE(rb.find("metrics"), nullptr);
+}
+
 // --- one Block object per block, live and restored --------------------------
 
 /// Every holder of seq k (the IM window and each vehicle store) must hold the
@@ -329,6 +389,83 @@ void patch_i64(Bytes& b, std::size_t at, std::int64_t v) {
   for (std::size_t i = 0; i < 8; ++i) {
     b.at(at + i) = static_cast<std::uint8_t>(static_cast<std::uint64_t>(v) >> (8 * i));
   }
+}
+
+/// `blob` with the last u64 of its config section (extra_vehicle_capacity's
+/// slot) set to `v`, and that section's CRC refreshed to match.
+Bytes with_extra_vehicle_capacity(Bytes blob, std::uint64_t v) {
+  checkpoint::SectionReader in;
+  std::string error;
+  EXPECT_TRUE(in.parse(blob, checkpoint::kCheckpointSchema, 64, &error)) << error;
+  const auto* config = in.find("config");
+  EXPECT_NE(config, nullptr);
+  if (config == nullptr) return blob;
+  const auto at = static_cast<std::size_t>(config->data() - blob.data());
+  const std::size_t len = config->size();
+  patch_i64(blob, at + len - 8, static_cast<std::int64_t>(v));
+  const std::uint32_t crc =
+      util::crc32(std::span<const std::uint8_t>(blob).subspan(at, len));
+  for (std::size_t i = 0; i < 4; ++i) {
+    blob.at(at - 8 + i) = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+  return blob;
+}
+
+TEST(CheckpointRestore, HugeExtraVehicleCapacityDoesNotEscapeRestore) {
+  // The slot is carried, never acted on: a CRC-valid envelope holding any
+  // value restores (no allocation sized from it, no exception) and re-saves
+  // byte for byte.
+  World world(scenario(traffic::IntersectionKind::kCross4, 80, 1));
+  world.run_until(5'000);
+  const Bytes blob = world.checkpoint_save();
+  for (const std::uint64_t capacity : {std::uint64_t{1} << 40, std::uint64_t{1} << 62}) {
+    const Bytes patched = with_extra_vehicle_capacity(blob, capacity);
+    ASSERT_NE(patched, blob);
+    std::unique_ptr<World> restored;
+    std::string error;
+    EXPECT_NO_THROW(restored = World::checkpoint_restore(patched, &error));
+    ASSERT_NE(restored, nullptr) << error;
+    EXPECT_EQ(restored->config().extra_vehicle_capacity, capacity);
+    EXPECT_EQ(restored->checkpoint_save(), patched);
+  }
+}
+
+TEST(CheckpointRestore, RejectsADuplicatedVehicleRecord) {
+  // Rebuild a valid envelope with every vehicles record written twice (the
+  // section's u32 count doubled, its records repeated) and fresh CRCs: a
+  // restore must refuse it rather than construct two nodes for one id.
+  World world(scenario(traffic::IntersectionKind::kCross4, 80, 1));
+  world.run_until(10'000);
+  const Bytes blob = world.checkpoint_save();
+  ByteReader in(blob);
+  ByteWriter out;
+  out.str(in.str());
+  const std::uint32_t sections = in.u32();
+  out.u32(sections);
+  bool doubled = false;
+  for (std::uint32_t i = 0; i < sections; ++i) {
+    const std::string name = in.str();
+    in.u32();  // CRC, recomputed below
+    const std::span<const std::uint8_t> payload = in.view(in.u32());
+    Bytes body(payload.begin(), payload.end());
+    if (name == "vehicles") {
+      const std::uint32_t n = ByteReader(payload).u32();
+      ASSERT_GT(n, 0u);
+      body.insert(body.end(), payload.begin() + 4, payload.end());
+      for (std::size_t b = 0; b < 4; ++b) {
+        body[b] = static_cast<std::uint8_t>((2 * n) >> (8 * b));
+      }
+      doubled = true;
+    }
+    out.str(name);
+    out.u32(util::crc32(body));
+    out.bytes(body);  // length-prefixed payload
+  }
+  ASSERT_TRUE(in.ok() && in.at_end());
+  ASSERT_TRUE(doubled);
+  std::string error;
+  EXPECT_EQ(World::checkpoint_restore(out.data(), &error), nullptr);
+  EXPECT_NE(error.find("duplicate"), std::string::npos) << error;
 }
 
 TEST(CheckpointRestore, RejectsAFixedSettingAtAnotherValue) {

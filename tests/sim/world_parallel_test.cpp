@@ -132,10 +132,9 @@ TEST(WorldParallel, RsaVerificationByteIdenticalUnderThreads) {
             checkpoint::run_summary_digest(serial));
 }
 
-// Checkpointing is step-boundary state only, so the SoA columns and the
-// worker pool must be invisible to it: a threaded run saved mid-flight
-// restores onto fresh columns (rows re-created in ascending id order) and
-// continues bit-exactly.
+// Checkpointing is step-boundary state only, so the worker pool must be
+// invisible to it: a threaded run saved mid-flight restores (nodes
+// re-created in spawn order) and continues bit-exactly.
 TEST(WorldParallel, CheckpointRoundTripBitExactUnderThreads) {
   ScenarioConfig cfg = golden(traffic::IntersectionKind::kCross4, 120, 7);
   cfg.step_threads = 4;
