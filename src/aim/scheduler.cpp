@@ -182,8 +182,11 @@ TravelPlan ReservationScheduler::reschedule(VehicleId id, int route_id,
     commit(plan, route_id);
     return plan;
   }
+  // At least one tick out: within ~1 cm of the core the rounded approach
+  // time is 0, which would ask for a zero-length approach at infinite speed.
   return fit(id, route_id, traits, now, s_start,
-             now + seconds_to_ticks((route.core_begin - s_start) / limit));
+             now + std::max<Duration>(
+                       1, seconds_to_ticks((route.core_begin - s_start) / limit)));
 }
 
 void ReservationScheduler::release_before(Tick t) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "aim/baseline.h"
 #include "traffic/arrivals.h"
 
@@ -137,6 +139,24 @@ TEST(Scheduler, ReleaseBeforeFreesMemory) {
   ASSERT_GT(before, 0u);
   sched.release_before(kTickMax);
   EXPECT_EQ(sched.reservation_count(), 0u);
+}
+
+TEST(Scheduler, RescheduleJustShortOfTheCoreAsksForAFutureEntry) {
+  // A vehicle stopped 2.2 mm short of the core (world_test's V1 and V2
+  // attack runs replan one so): the rounded approach time is 0 ms, yet the
+  // plan must still enter the core after `now`, at finite speeds.
+  const auto ix = make_ix(IntersectionKind::kCross4);
+  ReservationScheduler sched(ix);
+  const Tick now = 54'000;
+  const double s = ix.route(5).core_begin - 0.0022;
+  const TravelPlan p = sched.reschedule(VehicleId{28}, 5, {}, now, s);
+  EXPECT_GT(p.core_entry, now);
+  ASSERT_FALSE(p.segments.empty());
+  for (const PlanSegment& seg : p.segments) {
+    EXPECT_TRUE(std::isfinite(seg.v_mps)) << "segment at t=" << seg.start;
+    EXPECT_GE(seg.start, now);
+  }
+  EXPECT_DOUBLE_EQ(p.s_at(now), s);
 }
 
 TEST(Evacuation, VehicleHeadingIntoThreatStops) {
