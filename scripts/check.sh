@@ -17,7 +17,8 @@
 # the checkpoint suites and the CRC test: the envelope writer patches CRCs
 # and lengths at byte offsets);
 # UBSan runs the full suite with UBSAN_OPTIONS=halt_on_error=1, so any
-# report fails the test that reached it.
+# report fails the test that reached it; its tree is Release without NDEBUG
+# (CMAKE_CXX_FLAGS_RELEASE=-O3), the one tree that evaluates src/'s asserts.
 #
 #   scripts/check.sh              # default + alloc + ASan + TSan + UBSan
 #   scripts/check.sh default      # just the default tree
@@ -76,9 +77,10 @@ for stage in "${stages[@]}"; do
       run_tree build-tsan -DSANITIZE=thread -- -L chaos
       ;;
     ubsan)
-      echo "=== UBSan tree: full suite ==="
+      echo "=== UBSan tree (asserts on): full suite ==="
       export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
-      run_tree build-ubsan -DSANITIZE=undefined -- -j "$JOBS"
+      run_tree build-ubsan -DSANITIZE=undefined -DCMAKE_CXX_FLAGS_RELEASE=-O3 \
+        -- -j "$JOBS"
       ;;
     bench-diff)
       echo "=== bench-diff: BENCH_*.json vs baseline envelopes ==="
