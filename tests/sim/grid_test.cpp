@@ -131,7 +131,6 @@ TEST(Grid, ImportedBlacklistRejectsInjectedVehicle) {
   cfg.vehicles_per_minute = 30;
   cfg.duration_ms = 60'000;
   cfg.seed = 9;
-  cfg.extra_vehicle_capacity = 4;
   World w(cfg);
   w.run_until(1'000);
   const VehicleId intruder{777'777};
